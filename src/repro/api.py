@@ -56,7 +56,7 @@ __all__ = [
     "validate_spec",
 ]
 
-_ENGINES = (None, "auto", "scalar", "vector")
+_ENGINES = (None, "scalar", "vector")
 
 
 @dataclass(frozen=True)

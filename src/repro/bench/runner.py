@@ -120,7 +120,7 @@ class BenchContext:
         #: runs serially in-process.
         self.jobs = jobs
         #: Trace-engine override applied to every config this context
-        #: runs ("auto" | "scalar" | "vector"); None respects each
+        #: runs ("scalar" | "vector"); None respects each
         #: config's own ``engine`` field.  Engines are bit-identical,
         #: so results (and store records) are interchangeable.
         self.engine = engine

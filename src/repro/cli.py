@@ -17,7 +17,7 @@ Usage::
 ``--quick`` uses CI-sized inputs; without it the EXPERIMENTS.md scales
 are used (several minutes for fig3).  ``--jobs N`` fans matrix cells
 out over N worker processes (default: all cores) and ``--engine
-{auto,scalar,vector}`` selects the trace-execution engine; both only
+{scalar,vector}`` selects the trace-execution engine; both only
 change wall-clock time, never results — and never the outcome: a
 cell that fails deterministically runs once and its own error is
 raised, at any ``--jobs``.  ``--store DIR`` attaches the
@@ -120,14 +120,10 @@ def print_banner(
 ) -> None:
     """Echo the seed, fault plan, obs state, and engine.
 
-    The engine follows the same rule as ``System``: ``scalar`` when
-    asked for, ``vector`` otherwise.  *engine* overrides the config's
-    own field (the ``--engine`` flag).
+    *engine* overrides the config's own field (the ``--engine`` flag).
     """
     obs_state = "enabled" if config.obs.enabled else "disabled"
     engine = engine or config.engine
-    if engine != "scalar":
-        engine = "vector"
     print(
         f"{prog} {__version__} | seed={seed} quick={quick} | "
         f"faults: {describe_faults(config.faults)} | obs: {obs_state} | "
@@ -332,8 +328,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "scalar", "vector"),
-        default="auto",
+        choices=("scalar", "vector"),
+        default="vector",
         help=(
             "trace-execution engine for every run (DESIGN.md §10); "
             "engines are bit-identical, vector is the fast one"
@@ -599,7 +595,9 @@ def _check_diff(args) -> int:
     return 1
 
 
-def _serve_specs(figure: str, seed: int, engine: str, backend: str = "mtlb"):
+def _serve_specs(
+    figure: str, seed: int, engine: Optional[str], backend: str = "mtlb"
+):
     """The figure's scenario batch: ``(specs, snapshot_label)``.
 
     A non-default *backend* reinterprets the figure as that backend's
@@ -661,7 +659,7 @@ def _serve_sweep(args) -> int:
 
     Scenarios already in the content-addressed store are served from
     disk; the rest are sharded over supervised worker processes
-    (deadlines, retry-with-backoff, poison quarantine — DESIGN.md §13).
+    (deadlines, retry-with-backoff — DESIGN.md §13).
     The output is the same standardized metrics snapshot
     ``repro-bench`` writes, so a cold and a warm sweep can be compared
     with ``repro metrics diff --require-identical``.
@@ -793,7 +791,6 @@ def _serve_daemon(args) -> int:
     0.  A second signal hard-aborts.
     """
     from .serve import EXIT_ABORTED, ScenarioDaemon, ShutdownGuard
-    from .serve.daemon import daemon_policy
 
     guard = ShutdownGuard(progress=lambda m: print(m, flush=True))
     daemon = ScenarioDaemon(
@@ -801,7 +798,7 @@ def _serve_daemon(args) -> int:
         jobs=args.jobs,
         quick=True if args.quick else None,
         seed=args.seed,
-        policy=daemon_policy(_sweep_policy(args)),
+        policy=_sweep_policy(args),
         shutdown=guard,
         progress_cb=lambda message: print(message, flush=True),
     )
@@ -816,28 +813,23 @@ def _serve_daemon(args) -> int:
 
 
 def _serve_gc(args) -> int:
-    """``repro serve gc``: prune the store's operational litter.
+    """``repro serve gc``: prune orphaned ``*.tmp`` write stages.
 
-    Removes orphaned ``*.tmp`` write stages and poison sidecars older
-    than ``--max-age``.  Committed records and quarantined entries are
-    never touched.
+    Committed records and quarantined entries are never touched.
     """
     from .serve.store import ResultStore, default_store_root
 
     root = Path(args.store) if args.store else default_store_root()
     summary = ResultStore(root).gc(
-        max_age_seconds=args.max_age * 86400.0,
         tmp_grace_seconds=args.tmp_grace,
         dry_run=args.dry_run,
     )
     verb = "would remove" if args.dry_run else "removed"
     print(f"store: {summary['root']}")
     print(f"{verb} {summary['tmp_removed']} tmp file(s)")
-    print(f"{verb} {summary['poison_removed']} poison sidecar(s)")
     if args.verbose:
-        for bucket, paths in sorted(summary["removed"].items()):
-            for path in paths:
-                print(f"  {bucket}: {path}")
+        for path in summary["removed"]:
+            print(f"  tmp: {path}")
     return 0
 
 
@@ -847,8 +839,8 @@ def _chaos_soak(args) -> int:
     Runs one clean quick fig3 sweep, then the same sweep under each
     chaos seed with the full fault mix armed (worker kills, stalls,
     commit ENOSPC/EIO, record corruption, slow shards), and asserts the
-    final store contents are bit-identical to the clean run minus any
-    quarantined poison.  Writes ``BENCH_chaos.json`` with the per-seed
+    final store contents are bit-identical to the clean run minus the
+    scenarios that failed.  Writes ``BENCH_chaos.json`` with the per-seed
     ``serve.*`` supervision counters so the self-diff gate can track
     them.  Exit 0 only when every seed converges.
     """
@@ -856,7 +848,7 @@ def _chaos_soak(args) -> int:
 
     from .serve import run_soak
 
-    specs, _ = _serve_specs("fig3", args.seed, "auto")
+    specs, _ = _serve_specs("fig3", args.seed, None)
     seeds = list(range(1, args.seeds + 1))
     quick = True if args.quick else None
     print_banner("repro", args.seed, paper_base(), bool(args.quick))
@@ -1147,7 +1139,7 @@ def repro_main(argv=None) -> int:
         help="shard worker processes (default: serial in-process)",
     )
     sweep.add_argument(
-        "--engine", choices=("auto", "scalar", "vector"), default="auto",
+        "--engine", choices=("scalar", "vector"), default="vector",
         help=(
             "trace-execution engine; engine choice never changes "
             "results, so store entries are engine-interchangeable"
@@ -1186,7 +1178,7 @@ def repro_main(argv=None) -> int:
         help=(
             "max attempts per scenario whose failures a rerun can "
             "clear (killed or hung worker, I/O error) before it is "
-            "quarantined as poison; any other failure is tried once "
+            "reported as failed; any other failure is tried once "
             "and surfaces as itself (default: supervision policy "
             "default)"
         ),
@@ -1269,8 +1261,8 @@ def repro_main(argv=None) -> int:
     gc = ssub.add_parser(
         "gc",
         help=(
-            "prune store litter: orphaned *.tmp stages and old "
-            "poison sidecars (committed records are never touched)"
+            "prune store litter: orphaned *.tmp write stages "
+            "(committed records are never touched)"
         ),
     )
     gc.add_argument(
@@ -1278,13 +1270,6 @@ def repro_main(argv=None) -> int:
         help=(
             "result store directory (default: $REPRO_RESULT_STORE "
             "or .result_store)"
-        ),
-    )
-    gc.add_argument(
-        "--max-age", type=float, default=7.0, metavar="DAYS",
-        help=(
-            "age past which poison sidecars are pruned "
-            "(default 7 days)"
         ),
     )
     gc.add_argument(
@@ -1330,7 +1315,7 @@ def repro_main(argv=None) -> int:
         help=(
             "run a fig3 sweep clean, then under N chaos seeds, and "
             "assert the stores converge bit-identically (minus "
-            "quarantined poison)"
+            "failed scenarios)"
         ),
     )
     soak.add_argument(

@@ -351,36 +351,6 @@ class WorkerCrashed(ReproError):
         return (type(self), (self.label, self.exitcode))
 
 
-class CircuitBreakerOpen(ReproError):
-    """The sweep's failure rate crossed the circuit-breaker threshold.
-
-    The supervisor aborts the sweep early — killing the workers and
-    leaving the remaining scenarios unexecuted — instead of grinding
-    through a batch that is failing wholesale (a bad config push, a
-    full disk).  The message carries the diagnosis; completed
-    scenarios were already committed, so a rerun resumes from the
-    store.  Only sweeps that report their failures can trip it: one
-    that raises them stops at its first failure instead.
-    """
-
-    def __init__(self, failures: int, completed: int,
-                 threshold: float) -> None:
-        total = failures + completed
-        rate = failures / total if total else 1.0
-        super().__init__(
-            f"circuit breaker open: {failures}/{total} terminal "
-            f"failure(s) ({rate:.0%}) crossed the {threshold:.0%} "
-            f"threshold; aborting the sweep early (completed scenarios "
-            "are committed — rerun resumes from the store)"
-        )
-        self.failures = failures
-        self.completed = completed
-        self.threshold = threshold
-
-    def __reduce__(self):
-        return (type(self), (self.failures, self.completed, self.threshold))
-
-
 class SweepInterrupted(ReproError):
     """A sweep was stopped by SIGINT/SIGTERM and drained gracefully.
 

@@ -5,12 +5,13 @@ Seven layers, bottom-up:
 * :mod:`~repro.serve.fingerprint` — canonical scenario fingerprints,
   the content address of one simulation outcome;
 * :mod:`~repro.serve.store` — the content-addressed, CRC-checked
-  :class:`ResultStore` of completed runs (corrupt entries quarantined,
-  never served; writes fsync'd for crash durability; ``gc()`` prunes
-  operational litter);
+  :class:`ResultStore` of completed runs, one self-checksummed JSON
+  file per entry (corrupt entries quarantined, never served; writes
+  fsync'd for crash durability; ``gc()`` prunes orphaned write
+  stages);
 * :mod:`~repro.serve.supervise` — the supervised shard pool: deadlines
-  with a hard-kill watchdog, retry-with-backoff, poison quarantine,
-  circuit breaker, graceful SIGINT/SIGTERM draining — in batch mode
+  with a hard-kill watchdog, retry-with-backoff, poison reporting,
+  graceful SIGINT/SIGTERM draining — in batch mode
   (:meth:`ShardSupervisor.run`) or resident mode
   (:meth:`ShardSupervisor.serve`);
 * :mod:`~repro.serve.chaos` — deterministic service-layer failure
@@ -40,7 +41,7 @@ from .chaos import (
     run_soak,
 )
 from .client import SweepClient
-from .daemon import ScenarioDaemon, daemon_policy
+from .daemon import ScenarioDaemon
 from .fingerprint import (
     FINGERPRINT_VERSION,
     canonical_scenario,
@@ -72,7 +73,6 @@ from .supervise import (
     SupervisionPolicy,
     SupervisionReport,
     TaskIntake,
-    load_poison_records,
 )
 
 __all__ = [
@@ -100,12 +100,10 @@ __all__ = [
     "TaskIntake",
     "atomic_write_bytes",
     "canonical_scenario",
-    "daemon_policy",
     "default_chaos",
     "default_store_root",
     "execute_spec",
     "guarded_commit",
-    "load_poison_records",
     "resolve_scales",
     "run_soak",
     "scenario_fingerprint",

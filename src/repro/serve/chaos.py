@@ -298,9 +298,8 @@ class SoakReport:
 
 
 def _store_records(store) -> Dict[str, bytes]:
-    """Every committed record's raw bytes by fingerprint (the payload
-    .npz is pinned through the record's embedded ``payload.crc``, so
-    record-byte equality covers it)."""
+    """Every committed record's raw bytes by fingerprint (one file per
+    entry holds its stats and metrics)."""
     return {
         fp: store.record_path(fp).read_bytes() for fp in store.keys()
     }
@@ -320,7 +319,8 @@ def run_soak(
     progress=None,
 ) -> SoakReport:
     """Drive one clean sweep, then the same sweep under each chaos
-    seed, and verify store bit-identity minus quarantined poison.
+    seed, and verify store bit-identity minus the scenarios that
+    failed (the sweep's in-memory poison report).
 
     *chaos_rates* (default :func:`default_chaos`) supplies the rate mix;
     its ``seed`` field is replaced by each soak seed in turn.  Every

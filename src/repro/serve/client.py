@@ -74,7 +74,7 @@ class SweepClient:
     """Submit scenario batches to the sharded, store-backed scheduler.
 
     *policy* tunes the pool's supervision (deadlines, retries of
-    retryable failures, breaker —
+    retryable failures —
     :class:`~repro.serve.supervise.SupervisionPolicy`);
     *chaos* arms deterministic service-layer failure injection
     (:class:`~repro.serve.chaos.ChaosConfig`); *shutdown* wires a

@@ -85,7 +85,7 @@ from .supervise import (
     SupervisionReport,
 )
 
-__all__ = ["ScenarioDaemon", "daemon_policy"]
+__all__ = ["ScenarioDaemon"]
 
 #: How often the daemon's run loop checks the shutdown guard.
 _DRAIN_POLL_SECONDS = 0.1
@@ -93,22 +93,6 @@ _DRAIN_POLL_SECONDS = 0.1
 #: How long the drain waits for active response streams to flush their
 #: terminal events before the process exits anyway.
 _DRAIN_STREAM_TIMEOUT = 10.0
-
-
-def daemon_policy(
-    base: Optional[SupervisionPolicy] = None,
-) -> SupervisionPolicy:
-    """The supervision policy a resident daemon should run under.
-
-    Identical to the batch default except the circuit breaker is
-    effectively disabled: the breaker exists so a wholesale-failing
-    *batch* aborts early, but a long-lived service must not kill
-    itself because one tenant submitted a poisonous matrix — poison
-    quarantine already contains that tenant's damage per scenario.
-    """
-    return dataclasses.replace(
-        base or SupervisionPolicy(), breaker_min_samples=1_000_000_000
-    )
 
 
 @dataclass
@@ -166,7 +150,7 @@ class ScenarioDaemon:
         self.context: BenchContext = session.context
         self.store: Optional[ResultStore] = session.store
         self.jobs = max(1, jobs)
-        self.policy = policy if policy is not None else daemon_policy()
+        self.policy = policy
         self.guard = shutdown if shutdown is not None else ShutdownGuard()
         self.progress_cb = progress_cb
         self.registry = registry or MetricsRegistry()
@@ -272,9 +256,6 @@ class ScenarioDaemon:
             jobs=self.jobs,
             policy=self.policy,
             registry=self.registry,
-            poison_dir=(
-                self.store.poison_dir if self.store is not None else None
-            ),
             shutdown=self.guard,
             progress_cb=self.progress_cb,
         )

@@ -14,20 +14,20 @@ One sweep moves through four stages:
 3. **supervise** — the remaining unique scenarios are dispatched one at
    a time onto a pool of supervised worker processes
    (:class:`~repro.serve.supervise.ShardSupervisor`, DESIGN.md §13):
-   per-scenario wall-clock deadlines with a hard-kill watchdog,
-   retry-with-backoff for failures a rerun can clear, poison
-   quarantine for scenarios that fail terminally, and a circuit breaker
-   for sweeps failing wholesale.  A dead worker costs exactly the
-   scenario it was running — the slot is respawned and that one
-   scenario retried.  A batch submitted with ``raise_errors`` stops at
-   its first terminal failure and re-raises it, as the serial path
-   does;
+   per-scenario wall-clock deadlines with a hard-kill watchdog, and
+   retry-with-backoff for failures a rerun can clear.  A dead worker
+   costs exactly the scenario it was running — the slot is respawned
+   and that one scenario retried.  A batch submitted with
+   ``raise_errors`` stops at its first terminal failure and re-raises
+   it, as the serial path does; any other batch runs every scenario
+   and reports each one's own outcome, at any ``jobs``;
 4. **commit** — completed scenarios are written to the content-addressed
    store and streamed to the caller's ``on_result`` callback as they
    arrive (partial-progress commits: a killed sweep resumes as store
    cache hits).  Each commit is *verified* by reading the record back
-   through the store's checksums and rewritten if corrupt; disk errors
-   (real or chaos-injected) are retried with backoff.
+   through the store's checksum and rewritten if corrupt; disk errors
+   (real or chaos-injected) are retried with backoff, and only a
+   read-only store runs uncached.
 
 The front is ``asyncio`` (``await submit(...)`` / ``await gather(...)``)
 so a service embedding the scheduler can overlap sweeps; the synchronous
@@ -52,6 +52,7 @@ import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..api import RunReport, ScenarioSpec, validate_spec
@@ -229,9 +230,9 @@ def _put_record(
     fingerprint: str,
     report: RunReport,
     scales: Optional[Dict[str, float]] = None,
-) -> None:
+) -> Optional[Path]:
     scale = spec_scale(spec, context, scales)
-    store.put(
+    return store.put(
         fingerprint,
         workload="+".join(spec.workloads),
         config_label=spec.config.label,
@@ -297,7 +298,7 @@ def guarded_commit(
             )
             continue
         try:
-            _put_record(
+            written = _put_record(
                 store, context, spec, fingerprint, report, scales
             )
         except OSError as exc:
@@ -307,9 +308,9 @@ def guarded_commit(
                 f"(attempt {attempt}): {exc}"
             )
             continue
-        if not store.record_path(fingerprint).exists():
-            # ResultStore.put tolerates a read-only filesystem by
-            # design (run uncached); nothing to verify or retry.
+        if written is None:
+            # ResultStore.put runs uncached on a read-only store by
+            # design; nothing to verify or retry.
             return
         if chaos is not None and chaos.corrupts_commit():
             corrupt_record_file(store.record_path(fingerprint))
@@ -535,10 +536,6 @@ class SweepScheduler:
                 policy=self.policy,
                 chaos=self.chaos_plan,
                 registry=self.registry,
-                poison_dir=(
-                    self.store.poison_dir
-                    if self.store is not None else None
-                ),
                 shutdown=self.shutdown,
                 progress_cb=self.progress_cb,
             )
@@ -673,11 +670,10 @@ class SweepScheduler:
         """Await the supervision loop; outcomes were already committed
         as they arrived (via the submit-time ``on_outcome`` callback).
 
-        An aborted sweep re-raises its abort error when the ticket
-        raises errors: the first failed scenario's exception, or the
-        circuit breaker's diagnosis.  Otherwise that error (like a
-        graceful interrupt) surfaces on every scenario the supervisor
-        never finished.
+        A ticket that raises its errors re-raises the abort error: the
+        first failed scenario's exception.  Otherwise a failure of the
+        pool itself, like a graceful interrupt, surfaces on every
+        scenario the supervisor never finished.
         """
         start = time.perf_counter()
         aborted: Optional[BaseException] = None

@@ -1,25 +1,27 @@
 """Content-addressed result store: completed scenarios, never resimulated.
 
-One *entry* per scenario fingerprint (:mod:`repro.serve.fingerprint`),
-stored as two files under ``<root>/<fp[:2]>/``:
+One *entry* per scenario fingerprint (:mod:`repro.serve.fingerprint`):
+one file, ``<root>/<fp[:2]>/<fp>.json``, a schema-versioned record
+holding the workload/config identity, the scenario's canonical document
+(so a human can audit why it hashed where it did), the full
+``RunStats`` field mapping, the run's metrics-registry mapping (keys
+sorted, every value a float; ``null`` when the run has none), and
+provenance meta.  One CRC32 ``checksum`` over the record's own
+canonical JSON (as trace-store manifests do, :mod:`repro.trace.store`)
+covers all of it.
 
-* ``<fp>.json`` — a schema-versioned record: the workload/config
-  identity, the scenario's canonical document (so a human can audit why
-  it hashed where it did), the full ``RunStats`` field mapping, and
-  provenance meta.  The record embeds a CRC32 ``checksum`` over its own
-  canonical JSON (as trace-store manifests do, :mod:`repro.trace.store`);
-* ``<fp>.npz`` — optional payload holding the run's full
-  metrics-registry mapping as numpy arrays, CRC-checked through the
-  record (``payload.crc``).
-
-Reads verify every checksum.  A corrupt entry is **quarantined** — both
-files are moved into ``<root>/quarantine/`` with a RuntimeWarning — and
-reported as a miss, so the scheduler regenerates the result; the store
-never serves bytes it cannot vouch for.  Writes are atomic *and
-durable*: tmp file, fsync the file, ``os.replace``, fsync the
-directory — so a killed or power-lost writer leaves either the old
-entry or none, never a truncated one (and a truncated record that does
-sneak in is caught by the checksum and quarantined, not served).
+Reads verify the checksum and the record's shape.  A corrupt entry is
+**quarantined** — the file is moved into ``<root>/quarantine/`` with a
+RuntimeWarning — and reported as a miss, so the scheduler regenerates
+the result; the store never serves bytes it cannot vouch for.  A record
+of another schema version is not corruption: it reads as a miss with a
+warning, stays in place, and the next commit of its fingerprint
+overwrites it.  Writes are atomic *and durable*: tmp file, fsync the
+file, ``os.replace``, fsync the directory — so a killed or power-lost
+writer leaves either the old entry or none, never a truncated one (and
+a truncated record that does sneak in is caught by the checksum and
+quarantined, not served).  Only a read-only store runs uncached; any
+other disk error reaches the caller.
 
 The store is safe for concurrent readers plus one writer per entry:
 entries are immutable once written (content-addressed), and a racing
@@ -29,6 +31,7 @@ double-write of the same fingerprint writes identical bytes.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import time
@@ -36,18 +39,20 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Union
-
-import numpy as np
+from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 from .._version import __version__
 from ..errors import ResultStoreCorrupt
-from ..ioutil import atomic_write_bytes, fsync_dir, unique_tmp_path
+from ..ioutil import atomic_write_bytes
 from ..sim.stats import RunStats
 
 #: The store's record schema; version-bumped on layout changes.
-STORE_SCHEMA = "repro-results/1"
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA = "repro-results/2"
+STORE_SCHEMA_VERSION = 2
+
+#: Write errors that mean the store is read-only, so the run goes
+#: uncached; any other error on the record write reaches the caller.
+_READ_ONLY_ERRNOS = frozenset((errno.EROFS, errno.EACCES, errno.EPERM))
 
 #: Default store root (overridable per store and via the CLI).
 DEFAULT_STORE_ENV = "REPRO_RESULT_STORE"
@@ -75,13 +80,6 @@ class StoreRecord:
         return RunStats(**self.stats)
 
 
-# Durable-write primitives, shared with the trace store since PR 9.
-# ``atomic_write_bytes`` keeps its historical home here as a re-export;
-# the private aliases keep this module's call sites unchanged.
-_fsync_dir = fsync_dir
-_tmp_path = unique_tmp_path
-
-
 def _record_checksum(record: Mapping[str, object]) -> int:
     """CRC32 over the record's canonical JSON, ``checksum`` excluded."""
     body = {k: v for k, v in record.items() if k != "checksum"}
@@ -89,10 +87,8 @@ def _record_checksum(record: Mapping[str, object]) -> int:
     return zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF
 
 
-def _metrics_checksum(names: bytes, values: np.ndarray) -> int:
-    crc = zlib.crc32(names)
-    crc = zlib.crc32(np.ascontiguousarray(values).tobytes(), crc)
-    return crc & 0xFFFFFFFF
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ResultStore:
@@ -108,17 +104,9 @@ class ResultStore:
     def record_path(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def payload_path(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.npz"
-
     @property
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
-
-    @property
-    def poison_dir(self) -> Path:
-        """Where the supervisor quarantines poison-scenario sidecars."""
-        return self.root / "poison"
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -133,12 +121,14 @@ class ResultStore:
         metrics: Optional[Mapping[str, float]] = None,
         meta: Optional[Mapping[str, object]] = None,
         scenario: Optional[Mapping[str, object]] = None,
-    ) -> Path:
-        """Persist one completed scenario; returns the record path.
+    ) -> Optional[Path]:
+        """Persist one completed scenario in one atomic write; returns
+        the record path, or None when the store is read-only.
 
-        Atomic per file; the payload lands before the record, so a
-        record on disk always has its payload (a record killed between
-        the two is absent and the entry reads as a miss).
+        A read-only store (the shard directory cannot be created, or
+        the write fails with ``EROFS``, ``EACCES`` or ``EPERM``) writes
+        nothing and the run goes uncached.  Any other ``OSError`` is
+        raised, for the caller's commit guard to retry.
         """
         if isinstance(stats, RunStats):
             stats = dataclasses.asdict(stats)
@@ -146,39 +136,7 @@ class ResultStore:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
-            return path  # read-only filesystem: run uncached
-        payload: Dict[str, object] = {"metrics": False, "crc": None}
-        if metrics:
-            names = json.dumps(
-                sorted(metrics), separators=(",", ":")
-            ).encode("utf-8")
-            values = np.array(
-                [float(metrics[k]) for k in sorted(metrics)],
-                dtype=np.float64,
-            )
-            payload = {
-                "metrics": True,
-                "crc": _metrics_checksum(names, values),
-            }
-            ppath = self.payload_path(fingerprint)
-            ptmp = _tmp_path(ppath)
-            try:
-                with open(ptmp, "wb") as fh:
-                    np.savez_compressed(
-                        fh,
-                        names=np.frombuffer(names, dtype=np.uint8),
-                        values=values,
-                    )
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(ptmp, ppath)
-                _fsync_dir(ppath.parent)
-            except OSError:
-                try:
-                    ptmp.unlink()
-                except OSError:
-                    pass
-                payload = {"metrics": False, "crc": None}
+            return None
         record: Dict[str, object] = {
             "schema": STORE_SCHEMA,
             "schema_version": STORE_SCHEMA_VERSION,
@@ -187,17 +145,22 @@ class ResultStore:
             "workload": workload,
             "config_label": config_label,
             "stats": dict(stats),
+            "metrics": (
+                {name: float(metrics[name]) for name in sorted(metrics)}
+                if metrics else None
+            ),
             "meta": dict(meta or {}),
             "scenario": dict(scenario) if scenario is not None else None,
-            "payload": payload,
         }
         record["checksum"] = _record_checksum(record)
         try:
             atomic_write_bytes(
                 path, json.dumps(record, sort_keys=True).encode("utf-8")
             )
-        except OSError:
-            pass  # read-only filesystem: run uncached
+        except OSError as exc:
+            if exc.errno not in _READ_ONLY_ERRNOS:
+                raise
+            return None
         return path
 
     # ------------------------------------------------------------------ #
@@ -225,7 +188,7 @@ class ResultStore:
                 version != STORE_SCHEMA_VERSION
             ):
                 # A future/past format, not corruption: leave the file
-                # alone for the build that understands it.
+                # alone; the next commit of this fingerprint replaces it.
                 warnings.warn(
                     f"result-store entry {path} has schema version "
                     f"{version}, this build reads "
@@ -246,12 +209,13 @@ class ResultStore:
         if not isinstance(stats, dict) or set(stats) - known:
             self._quarantine(fingerprint, "unknown RunStats fields")
             return None
-        metrics: Optional[Dict[str, float]] = None
-        payload = record.get("payload") or {}
-        if payload.get("metrics"):
-            metrics = self._read_payload(fingerprint, payload)
-            if metrics is None:
-                return None  # payload corrupt: whole entry quarantined
+        metrics = record.get("metrics")
+        if metrics is not None and not (
+            isinstance(metrics, dict)
+            and all(_is_number(value) for value in metrics.values())
+        ):
+            self._quarantine(fingerprint, "metrics are not all numbers")
+            return None
         return StoreRecord(
             fingerprint=fingerprint,
             workload=record.get("workload", ""),
@@ -261,51 +225,19 @@ class ResultStore:
             meta=record.get("meta") or {},
         )
 
-    def _read_payload(
-        self, fingerprint: str, payload: Mapping[str, object]
-    ) -> Optional[Dict[str, float]]:
-        ppath = self.payload_path(fingerprint)
-        try:
-            with np.load(ppath) as data:
-                names_raw = bytes(data["names"].tobytes())
-                values = np.array(data["values"], dtype=np.float64)
-        except Exception as exc:  # noqa: BLE001 - any npz failure
-            self._quarantine(fingerprint, f"unreadable payload ({exc})")
-            return None
-        if _metrics_checksum(names_raw, values) != payload.get("crc"):
-            self._quarantine(fingerprint, "payload checksum mismatch")
-            return None
-        try:
-            names = json.loads(names_raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._quarantine(fingerprint, f"bad payload names ({exc})")
-            return None
-        if len(names) != len(values):
-            self._quarantine(fingerprint, "payload name/value mismatch")
-            return None
-        return {
-            name: value.item() for name, value in zip(names, values)
-        }
-
     def _quarantine(self, fingerprint: str, reason: str) -> None:
         """Move a bad entry aside (never serve, never silently delete)."""
+        path = self.record_path(fingerprint)
         warnings.warn(
-            str(ResultStoreCorrupt(self.record_path(fingerprint), reason))
+            str(ResultStoreCorrupt(path, reason))
             + "; quarantining and regenerating",
             RuntimeWarning,
         )
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(path, self.quarantine_dir / path.name)
         except OSError:
-            return
-        for path in (
-            self.record_path(fingerprint), self.payload_path(fingerprint)
-        ):
-            if path.exists():
-                try:
-                    os.replace(path, self.quarantine_dir / path.name)
-                except OSError:
-                    pass
+            pass
 
     # ------------------------------------------------------------------ #
     # Garbage collection (``repro serve gc``)
@@ -313,61 +245,36 @@ class ResultStore:
 
     def gc(
         self,
-        max_age_seconds: float = 7 * 86400.0,
         tmp_grace_seconds: float = 900.0,
         dry_run: bool = False,
         now: Optional[float] = None,
     ) -> Dict[str, object]:
-        """Prune the store's operational litter; never touches entries.
+        """Prune orphaned ``*.tmp`` write stages; never touches entries.
 
-        Two sources of debris accumulate on a long-lived store, and
-        each has its own staleness rule:
-
-        * **orphaned ``*.tmp`` stages** — a writer killed between open
-          and rename leaves its private tmp file behind.  Any tmp file
-          older than *tmp_grace_seconds* is dead (live stages exist for
-          milliseconds) and is removed;
-        * **poison sidecars** — quarantine records under ``poison/``
-          older than *max_age_seconds* (old enough that the flaky
-          scenario has either been fixed or re-poisoned since).
-
-        Committed records, payloads, and quarantined entries are never
-        deleted — quarantine is evidence, not garbage.  Returns a
-        summary dict; with *dry_run* nothing is unlinked and the
-        summary lists what would have been.
+        A writer killed between open and rename leaves its private tmp
+        file behind.  Any tmp file older than *tmp_grace_seconds* is
+        dead (live stages exist for milliseconds) and is removed.
+        Committed records and quarantined entries are never deleted —
+        quarantine is evidence, not garbage.  Returns a summary dict;
+        with *dry_run* nothing is unlinked and the summary lists what
+        would have been.
         """
         clock = time.time() if now is None else now
-        removed: Dict[str, list] = {"tmp": [], "poison": []}
-
-        def _prune(path: Path, bucket: str) -> None:
-            removed[bucket].append(str(path))
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    removed[bucket].pop()
-
+        removed: List[str] = []
         if self.root.exists():
             for path in sorted(self.root.rglob("*.tmp")):
                 try:
-                    age = clock - path.stat().st_mtime
+                    if clock - path.stat().st_mtime < tmp_grace_seconds:
+                        continue
+                    if not dry_run:
+                        path.unlink()
                 except OSError:
                     continue
-                if age >= tmp_grace_seconds:
-                    _prune(path, "tmp")
-            if self.poison_dir.exists():
-                for path in sorted(self.poison_dir.glob("*.poison.json")):
-                    try:
-                        age = clock - path.stat().st_mtime
-                    except OSError:
-                        continue
-                    if age >= max_age_seconds:
-                        _prune(path, "poison")
+                removed.append(str(path))
         return {
             "root": str(self.root),
             "dry_run": dry_run,
-            "tmp_removed": len(removed["tmp"]),
-            "poison_removed": len(removed["poison"]),
+            "tmp_removed": len(removed),
             "removed": removed,
         }
 
@@ -378,13 +285,17 @@ class ResultStore:
     def __contains__(self, fingerprint: str) -> bool:
         return self.record_path(fingerprint).exists()
 
-    def keys(self) -> Iterator[str]:
-        """Every stored fingerprint (unverified; ``get`` verifies)."""
+    def _shards(self) -> Iterator[Path]:
+        """The ``<fp[:2]>`` shard directories, in name order."""
         if not self.root.exists():
             return
         for shard in sorted(self.root.iterdir()):
-            if shard.name in ("quarantine", "poison") or not shard.is_dir():
-                continue
+            if len(shard.name) == 2 and shard.is_dir():
+                yield shard
+
+    def keys(self) -> Iterator[str]:
+        """Every stored fingerprint (unverified; ``get`` verifies)."""
+        for shard in self._shards():
             for path in sorted(shard.glob("*.json")):
                 yield path.stem
 
@@ -392,28 +303,18 @@ class ResultStore:
         """Inventory summary for ``repro serve status``."""
         entries = 0
         total_bytes = 0
-        if self.root.exists():
-            for shard in self.root.iterdir():
-                if shard.name in ("quarantine", "poison") or (
-                    not shard.is_dir()
-                ):
-                    continue
-                for path in shard.iterdir():
-                    if path.suffix == ".json":
-                        entries += 1
-                    try:
-                        total_bytes += path.stat().st_size
-                    except OSError:
-                        pass
+        for shard in self._shards():
+            for path in shard.iterdir():
+                if path.suffix == ".json":
+                    entries += 1
+                try:
+                    total_bytes += path.stat().st_size
+                except OSError:
+                    pass
         quarantined = 0
         if self.quarantine_dir.exists():
             quarantined = sum(
                 1 for p in self.quarantine_dir.glob("*.json")
-            )
-        poisoned = 0
-        if self.poison_dir.exists():
-            poisoned = sum(
-                1 for p in self.poison_dir.glob("*.poison.json")
             )
         return {
             "root": str(self.root),
@@ -421,5 +322,4 @@ class ResultStore:
             "entries": entries,
             "bytes": total_bytes,
             "quarantined": quarantined,
-            "poisoned": poisoned,
         }

@@ -1,4 +1,4 @@
-"""Supervised shard pool: deadlines, retries, poison, circuit breaker.
+"""Supervised shard pool: deadlines, retries, poison, graceful drain.
 
 The scheduler's original pool path (PR 5) was a bare
 ``ProcessPoolExecutor``: no per-scenario deadline, no retry, and one
@@ -17,17 +17,16 @@ depends on:
   trace-store wait timeout, any ``OSError``) are retried with capped
   exponential backoff plus deterministic seeded jitter, up to
   ``max_attempts``;
-* **poison quarantine** — a scenario that fails terminally (any other
-  error, on its one attempt, or retries exhausted) is written to a
-  typed :class:`PoisonRecord` sidecar under the store's ``poison/``
-  directory and handed to the caller as its original exception;
+* **poison** — a scenario that fails terminally (any other error, on
+  its one attempt, or retries exhausted) is listed as a typed
+  :class:`PoisonRecord` in the sweep's :class:`SupervisionReport` and
+  handed to the caller as its original exception; nothing is written
+  to disk, so a sweep's store holds the same entries at any ``--jobs``;
 * **abort** — :meth:`ShardSupervisor.abort` stops the sweep and makes
   it raise a given error.  A caller that raises its errors aborts on
-  the first terminal failure; the **circuit breaker** aborts with a
-  :class:`~repro.errors.CircuitBreakerOpen` diagnosis when the
-  terminal-failure rate of a sweep that reports its failures crosses a
-  threshold (completed work is already committed, so a rerun resumes
-  from the store);
+  the first terminal failure (completed work is already committed, so
+  a rerun resumes from the store); a caller that reports its failures
+  gets every scenario's own outcome;
 * **graceful shutdown** — SIGINT/SIGTERM (via :class:`ShutdownGuard`)
   drains in-flight scenarios to the store and stops dispatching; a
   second signal hard-aborts.
@@ -38,10 +37,9 @@ The supervisor state machine per scenario::
        │ retryable failure, attempts < max_attempts
        ├──▶ retrying (backoff) ──▶ running
        │ non-retryable failure (first attempt) / retries exhausted
-       └──▶ poisoned (PoisonRecord sidecar; the original error goes
-                      to the caller)
-              ├─ caller raises errors ─▶ aborted: the sweep raises it
-              └─ failure rate ≥ breaker threshold ─▶ breaker-open
+       └──▶ poisoned (PoisonRecord in the report; the original error
+                      goes to the caller)
+              └─ caller raises errors ─▶ aborted: the sweep raises it
 
 Chaos injection (:mod:`repro.serve.chaos`) plugs in at dispatch time —
 the supervisor consults the plan once per dispatch and ships the
@@ -54,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-import json
 import os
 import random
 import signal
@@ -62,11 +59,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
-    CircuitBreakerOpen,
     ScenarioDeadlineExceeded,
     WorkerCrashed,
     is_retryable,
@@ -78,7 +73,6 @@ from .chaos import ChaosDirective, ChaosPlan
 __all__ = [
     "EXIT_ABORTED",
     "EXIT_INTERRUPTED",
-    "POISON_SCHEMA",
     "PoisonRecord",
     "ScenarioOutcome",
     "ScenarioTask",
@@ -87,7 +81,6 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
     "TaskIntake",
-    "load_poison_records",
 ]
 
 
@@ -131,9 +124,6 @@ EXIT_INTERRUPTED = 75
 #: Exit code for a hard abort (second signal).
 EXIT_ABORTED = 130
 
-#: Poison sidecar schema; version-bumped on layout changes.
-POISON_SCHEMA = "repro-poison/1"
-
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
@@ -145,10 +135,7 @@ class SupervisionPolicy:
     excluded from the result fingerprint).  ``max_attempts`` caps the
     tries of a scenario whose failures are retryable
     (:func:`~repro.errors.is_retryable`); any other failure is final on
-    its first attempt.  The breaker trips when terminal failures reach
-    ``breaker_threshold`` of terminal outcomes, once at least
-    ``breaker_min_samples`` scenarios have reached a terminal state; a
-    sweep that raises its errors stops at the first one, before that.
+    its first attempt.
     """
 
     deadline_seconds: Optional[float] = 600.0
@@ -157,8 +144,6 @@ class SupervisionPolicy:
     backoff_base_seconds: float = 0.25
     backoff_cap_seconds: float = 5.0
     backoff_jitter: float = 0.25
-    breaker_threshold: float = 0.5
-    breaker_min_samples: int = 8
     watchdog_tick_seconds: float = 0.05
     seed: int = 0
 
@@ -173,10 +158,6 @@ class SupervisionPolicy:
             raise ValueError("backoff bounds must be non-negative")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError("backoff_jitter must be in [0, 1]")
-        if not 0.0 < self.breaker_threshold <= 1.0:
-            raise ValueError("breaker_threshold must be in (0, 1]")
-        if self.breaker_min_samples < 1:
-            raise ValueError("breaker_min_samples must be at least 1")
         if self.watchdog_tick_seconds <= 0:
             raise ValueError("watchdog_tick_seconds must be positive")
 
@@ -231,7 +212,7 @@ class ScenarioOutcome:
 
 @dataclass
 class PoisonRecord:
-    """Typed sidecar for one quarantined scenario.
+    """One terminally failed scenario, as the sweep's report lists it.
 
     ``classification`` is ``"deterministic"`` (a non-retryable error,
     tried once) or ``"retries_exhausted"`` (retryable failures on every
@@ -248,50 +229,9 @@ class PoisonRecord:
     classification: str
     errors: List[str] = field(default_factory=list)
 
-    def to_json(self) -> Dict[str, object]:
-        doc = dataclasses.asdict(self)
-        doc["schema"] = POISON_SCHEMA
-        return doc
-
     @property
     def last_error(self) -> str:
         return self.errors[-1] if self.errors else "unknown"
-
-    def sidecar_name(self) -> str:
-        stem = self.fingerprint or f"idx{self.index}"
-        return f"{stem}.poison.json"
-
-
-def write_poison_record(poison_dir: Path, record: PoisonRecord) -> Path:
-    """Durably persist one poison sidecar (fsync'd tmp + rename)."""
-    from .store import atomic_write_bytes  # store owns durable writes
-
-    path = Path(poison_dir) / record.sidecar_name()
-    blob = json.dumps(record.to_json(), sort_keys=True, indent=1)
-    atomic_write_bytes(path, blob.encode("utf-8"))
-    return path
-
-
-def load_poison_records(poison_dir: Path) -> List[PoisonRecord]:
-    """Read every poison sidecar under *poison_dir* (bad files skipped)."""
-    records: List[PoisonRecord] = []
-    poison_dir = Path(poison_dir)
-    if not poison_dir.exists():
-        return records
-    known = set(PoisonRecord.__dataclass_fields__)
-    for path in sorted(poison_dir.glob("*.poison.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(doc, dict) or doc.get("schema") != POISON_SCHEMA:
-            continue
-        fields = {k: v for k, v in doc.items() if k in known}
-        try:
-            records.append(PoisonRecord(**fields))
-        except TypeError:
-            continue
-    return records
 
 
 @dataclass
@@ -310,7 +250,6 @@ class SupervisionReport:
     #: Seconds past the deadline each hung worker survived before the
     #: watchdog killed it (soak asserts these stay under grace+margin).
     kill_overshoots: List[float] = field(default_factory=list)
-    breaker_open: bool = False
     interrupted: bool = False
     aborted: bool = False
     pending: int = 0
@@ -318,10 +257,7 @@ class SupervisionReport:
     @property
     def clean(self) -> bool:
         """True when supervision never had to intervene."""
-        return not (
-            self.retries or self.poison or self.breaker_open
-            or self.interrupted
-        )
+        return not (self.retries or self.poison or self.interrupted)
 
     def render(self) -> str:
         lines = [
@@ -336,8 +272,6 @@ class SupervisionReport:
                 f"after {record.attempts} attempt(s): "
                 f"{record.last_error}"
             )
-        if self.breaker_open:
-            lines.append("  circuit breaker OPEN: sweep aborted early")
         if self.interrupted:
             lines.append(
                 f"  interrupted: {self.pending} scenario(s) never "
@@ -582,9 +516,8 @@ class ShardSupervisor:
     *on_outcome* (from the supervisor's thread) as each scenario
     finishes, and returns the :class:`SupervisionReport`.  A failed
     outcome carries the scenario's own exception.  After
-    :meth:`abort` (called from *on_outcome*, or by the circuit
-    breaker) ``run()`` drops the remaining work and raises the abort
-    error instead.  Obs instruments land in *registry* under the
+    :meth:`abort` (called from *on_outcome*) ``run()`` drops the
+    remaining work and raises the abort error instead.  Obs instruments land in *registry* under the
     scheduler's ``serve.*`` namespace.
     """
 
@@ -595,7 +528,6 @@ class ShardSupervisor:
         policy: Optional[SupervisionPolicy] = None,
         chaos: Optional[ChaosPlan] = None,
         registry: Optional[MetricsRegistry] = None,
-        poison_dir: Optional[Path] = None,
         shutdown: Optional[ShutdownGuard] = None,
         progress_cb: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -605,7 +537,6 @@ class ShardSupervisor:
         self.jobs = max(1, jobs)
         self.policy = policy or SupervisionPolicy()
         self.chaos = chaos
-        self.poison_dir = Path(poison_dir) if poison_dir else None
         self.shutdown = shutdown
         self.progress_cb = progress_cb
         self._mp = multiprocessing.get_context()
@@ -617,7 +548,6 @@ class ShardSupervisor:
         self.c_worker_crashes = reg.counter("serve.worker_crashes")
         self.c_worker_respawns = reg.counter("serve.worker_respawns")
         self.c_poisoned = reg.counter("serve.poisoned")
-        self.c_breaker_trips = reg.counter("serve.breaker_trips")
         self.c_chaos_injections = reg.counter("serve.chaos_injections")
         self.h_wall = reg.histogram(
             "serve.scenario_wall_seconds", SCENARIO_WALL_EDGES
@@ -627,7 +557,6 @@ class ShardSupervisor:
         )
         self.report = SupervisionReport()
         self._abort_error: Optional[BaseException] = None
-        self._terminal_failures = 0
         # Retry heap; an instance attribute so the failure path can
         # requeue from any depth of the loop.
         self._delayed: List[Tuple[float, int, _JobState]] = []
@@ -924,7 +853,6 @@ class ShardSupervisor:
                 wall_seconds=wall,
             )
         )
-        self._check_breaker()
         return 1
 
     def _respawn(self, worker: _Worker, workers: List[_Worker]) -> None:
@@ -973,8 +901,8 @@ class ShardSupervisor:
         on_outcome: Callable[[ScenarioOutcome], None],
     ) -> None:
         """Classify one attempt's failure: retry a retryable one with
-        backoff while attempts remain, else quarantine the scenario and
-        hand *error* itself to *on_outcome*.  ``job.attempts`` was
+        backoff while attempts remain, else report the scenario as
+        poison and hand *error* itself to *on_outcome*.  ``job.attempts`` was
         already advanced by the caller."""
         retryable = is_retryable(error)
         job.errors.append(f"{type(error).__name__}: {error}")
@@ -1012,35 +940,8 @@ class ShardSupervisor:
             f"  poisoned [{classification}] {job.task.label}: "
             f"{record.last_error}"
         )
-        if self.poison_dir is not None:
-            try:
-                write_poison_record(self.poison_dir, record)
-            except OSError:
-                pass  # read-only store: the in-memory report remains
-        self._terminal_failures += 1
         on_outcome(
             ScenarioOutcome(
                 task=job.task, error=error, attempts=job.attempts
             )
         )
-        self._check_breaker()
-
-    def _check_breaker(self) -> None:
-        if self._abort_error is not None:
-            return
-        total = self.report.completed + self._terminal_failures
-        if total < self.policy.breaker_min_samples:
-            return
-        if (
-            self._terminal_failures / total
-            >= self.policy.breaker_threshold
-        ):
-            self.c_breaker_trips.inc()
-            self.report.breaker_open = True
-            self.abort(
-                CircuitBreakerOpen(
-                    self._terminal_failures,
-                    self.report.completed,
-                    self.policy.breaker_threshold,
-                )
-            )

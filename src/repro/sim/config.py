@@ -141,9 +141,9 @@ class SystemConfig:
     #: fast-forward engine that retires whole TLB-hit + cache-hit runs
     #: with numpy and is bit-identical to scalar in every
     #: RunStats/metrics value.  It runs every configuration — every
-    #: cache model, backend, fault plan and job mix — so ``"auto"``
-    #: (default) is another spelling of ``"vector"``.
-    engine: str = "auto"
+    #: cache model, backend, fault plan and job mix — and is the
+    #: default.
+    engine: str = "vector"
     #: Translation backend (DESIGN.md §16): which machine owns the path
     #: between a CPU TLB miss and the installed entry.  ``"mtlb"`` is
     #: the paper's design (and covers the conventional baseline when
@@ -169,10 +169,9 @@ class SystemConfig:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ("auto", "scalar", "vector"):
+        if self.engine not in ("scalar", "vector"):
             raise ValueError(
-                "engine must be 'auto', 'scalar' or 'vector', "
-                f"got {self.engine!r}"
+                f"engine must be 'scalar' or 'vector', got {self.engine!r}"
             )
         # Backend resolution is part of construction: unknown names die
         # here (UnknownBackend) and each backend vetoes knob

@@ -207,11 +207,9 @@ class System:
         self._word_store: Dict[int, Dict[int, int]] = {}
         self._swap_data: Dict[int, Dict[int, int]] = {}
 
-        #: Trace-execution engine for this run (DESIGN.md §10):
-        #: "scalar" when the config asks for it, "vector" otherwise
-        #: (surfaced via the ``sim.engine_resolved`` metric and
-        #: ``RunReport.engine``).
-        self.engine = "scalar" if config.engine == "scalar" else "vector"
+        #: Trace-execution engine for this run (DESIGN.md §10), surfaced
+        #: via the ``sim.engine_resolved`` metric and ``RunReport.engine``.
+        self.engine = config.engine
         #: The vector engine's adaptive-predictor state (window
         #: geometry; pure perf, never results).  ``MultiProgram`` swaps
         #: a per-process instance in at context switches.

@@ -117,7 +117,7 @@ class TestBackendEngineEquivalence:
     @pytest.mark.parametrize("row", sorted(BACKEND_ROWS))
     def test_lockstep_identical_on_em3d(self, tiny_ctx, row):
         report = run_lockstep(
-            tiny_ctx.trace("em3d"), backend_config(row, "auto")
+            tiny_ctx.trace("em3d"), backend_config(row, "vector")
         )
         assert report.identical, report.render()
 

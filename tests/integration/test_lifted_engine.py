@@ -1,11 +1,11 @@
 """Golden equivalence on the configurations PR-8 un-scalar-forced.
 
-Before the restriction lift, ``engine="auto"`` dropped to the scalar
+Before the restriction lift, the default engine dropped to the scalar
 loop on set-associative caches, armed fault plans, and multiprogrammed
 mixes.  These tests pin the lift's contract on exactly those surfaces:
 
 * the Figure 4 associativity sweep (2-way/4-way/full MTLBs) is
-  bit-identical across engines and auto-resolves to vector;
+  bit-identical across engines and runs vector by default;
 * an armed schedule for every fault site batches, stays bit-identical,
   and actually injects (a clamp that silently suppressed triggers
   would pass a naive identity check);
@@ -67,7 +67,7 @@ def run_stats(trace, config, engine, window=None):
     if window is not None:
         system.engine_state.window = window
     result = system.run(trace)
-    assert result.engine == engine or engine == "auto"
+    assert result.engine == engine
     return system, result.stats
 
 
@@ -88,11 +88,8 @@ class TestFigure4Lift:
         assert_engines_identical(em3d_trace, config)
 
     @pytest.mark.parametrize("label", FIG4_LIFTED)
-    def test_auto_picks_vector(self, label):
-        system = System(
-            dataclasses.replace(figure4_configs()[label], engine="auto")
-        )
-        assert system.engine == "vector"
+    def test_default_engine_is_vector(self, label):
+        assert System(figure4_configs()[label]).engine == "vector"
 
     def test_set_assoc_l1_bit_identical(self, em3d_trace):
         config = dataclasses.replace(

@@ -3,9 +3,10 @@
 One module-scoped daemon (real asyncio server, real supervised worker
 pool, real sockets on an ephemeral loopback port) serves every test;
 the assertions are the service contract from DESIGN.md §14: results
-bit-identical to the batch path, one execution per unique fingerprint
-no matter how many clients ask, commits that survive a client
-disconnect, honest /healthz //queue //metrics, and a clean drain.
+bit-identical to the batch path, the same per-scenario outcomes as a
+batch sweep at any ``jobs``, one execution per unique fingerprint no
+matter how many clients ask, commits that survive a client disconnect,
+honest /healthz //queue //metrics, and a clean drain.
 """
 
 import http.client
@@ -19,9 +20,10 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.errors import DaemonUnavailable, ReferenceBudgetExceeded
 from repro.serve import SweepClient
-from repro.serve.daemon import ScenarioDaemon, daemon_policy
+from repro.serve.daemon import ScenarioDaemon
 from repro.serve.scheduler import spec_fingerprint
-from repro.serve.supervise import SupervisionPolicy, load_poison_records
+from repro.serve.store import STORE_SCHEMA
+from repro.serve.supervise import SupervisionPolicy
 from repro.sim.config import paper_mtlb, paper_no_mtlb
 
 TINY = {"em3d": 0.02, "radix": 0.02}
@@ -68,7 +70,7 @@ def _get(port, path):
 def _start(tmp):
     daemon = ScenarioDaemon(
         session=_session(tmp, "daemon_store"),
-        jobs=2, policy=daemon_policy(FAST),
+        jobs=2, policy=FAST,
     )
     thread = threading.Thread(
         target=lambda: daemon.run(port=0), daemon=True
@@ -132,26 +134,93 @@ class TestBitIdentity:
 
 
 class TestTypedErrors:
-    def test_failure_surfaces_as_its_own_type(self, tmp_path):
+    def test_failure_surfaces_as_its_own_type(self, served, tmp_path):
         """A scenario that fails in the daemon is rebuilt client-side
         from the error event's ``error_args`` as its own ReproError
-        type, through ``sweep`` and through ``run``.  Its own daemon:
-        the failure leaves a poison record, which the module daemon's
-        store must not hold."""
-        daemon, thread = _start(tmp_path)
-        url = f"http://127.0.0.1:{daemon.port}"
+        type, through ``sweep`` and through ``run``."""
+        _, url = served
         client = _client(tmp_path, "typed_store", url, "typed")
-        spec = ScenarioSpec("em3d", paper_mtlb(96), max_references=10)
-        try:
-            with pytest.raises(ReferenceBudgetExceeded) as caught:
-                client.sweep([spec], raise_errors=True)
-            assert caught.value.budget == 10
-            with pytest.raises(ReferenceBudgetExceeded):
-                client.run(spec)
-        finally:
-            daemon.guard.request_drain()
-            thread.join(60.0)
-        assert not thread.is_alive()
+        # A seed no other test commits: a stored result of the same
+        # scenario would be served without running into the budget.
+        spec = ScenarioSpec(
+            "em3d", paper_mtlb(96), seed=4343, max_references=10
+        )
+        with pytest.raises(ReferenceBudgetExceeded) as caught:
+            client.sweep([spec], raise_errors=True)
+        assert caught.value.budget == 10
+        with pytest.raises(ReferenceBudgetExceeded):
+            client.run(spec)
+
+
+def _outcomes(reports):
+    return [
+        (r.ok, None if r.ok else type(r.error).__name__) for r in reports
+    ]
+
+
+def _only_records(store):
+    """The store holds nothing but ``<fp[:2]>/<fp>.json`` entries."""
+    for shard in store.root.iterdir():
+        assert shard.is_dir() and len(shard.name) == 2, shard
+        for path in shard.iterdir():
+            assert path.name == f"{path.stem}.json", path
+            assert path.stem.startswith(shard.name), path
+            doc = json.loads(path.read_text())
+            assert doc["schema"] == STORE_SCHEMA, path
+
+
+class TestOutcomeParity:
+    def test_keep_going_outcomes_match_across_paths(
+        self, served, tmp_path
+    ):
+        """A keep-going batch that mostly fails reports every
+        scenario's own outcome, and commits the same records and
+        nothing else, at ``jobs=1``, at ``jobs=2`` and through the
+        daemon: how a sweep runs never changes what it reports."""
+        daemon, url = served
+        failing = [
+            ScenarioSpec(w, config, seed=seed, max_references=10)
+            for seed in (53, 54)
+            for w in ("em3d", "radix")
+            for config in (paper_no_mtlb(96), paper_mtlb(96))
+        ]
+        passing = [
+            ScenarioSpec("radix", paper_no_mtlb(96), seed=seed)
+            for seed in (51, 52)
+        ]
+        specs = failing[:4] + passing + failing[4:]
+        expected = [
+            (True, None) if spec.max_references is None
+            else (False, "ReferenceBudgetExceeded")
+            for spec in specs
+        ]
+        runs = {}
+        stores = {}
+        for jobs in (1, 2):
+            client = SweepClient(
+                session=_session(tmp_path, f"jobs{jobs}_store"),
+                jobs=jobs, policy=FAST,
+            )
+            runs[f"jobs={jobs}"] = client.sweep(specs, raise_errors=False)
+            stores[f"jobs={jobs}"] = client.store
+        remote = _client(tmp_path, "remote_store", url, "parity")
+        runs["daemon"] = remote.sweep(specs, raise_errors=False)
+        stores["daemon"] = daemon.store
+        for path, reports in runs.items():
+            assert _outcomes(reports) == expected, path
+
+        committed = [r.fingerprint for r in runs["jobs=1"] if r.ok]
+        failed = [r.fingerprint for r in runs["jobs=1"] if not r.ok]
+        assert len(committed) == len(passing)
+        assert set(stores["jobs=1"].keys()) == set(committed)
+        assert set(stores["jobs=2"].keys()) == set(committed)
+        for fp in committed:
+            blob = stores["jobs=1"].record_path(fp).read_bytes()
+            assert stores["jobs=2"].record_path(fp).read_bytes() == blob
+            assert daemon.store.record_path(fp).read_bytes() == blob
+        assert not any(fp in daemon.store for fp in failed)
+        for store in stores.values():
+            _only_records(store)
 
 
 class TestDedupe:
@@ -250,11 +319,9 @@ class TestDisconnect:
             time.sleep(0.2)
         record = daemon.store.get(fingerprint)
         assert record is not None, "abandoned scenario never committed"
-        # The module store is shared: other tests' scenarios may have
-        # left poison records of their own.
         assert not [
             poison
-            for poison in load_poison_records(daemon.store.poison_dir)
+            for poison in daemon.supervisor.report.poison
             if poison.fingerprint == fingerprint
         ]
 

@@ -10,7 +10,9 @@ diff --require-identical``.
 
 import asyncio
 import dataclasses
+import errno
 import json
+import os
 
 import pytest
 
@@ -209,6 +211,98 @@ class TestSchedulerDedupe:
         assert not reports[0].ok
         assert reports[0].stats is None
         assert isinstance(reports[0].error, ReferenceBudgetExceeded)
+
+
+class TestCommitDiskErrors:
+    """Only a read-only store runs uncached: any other disk error on
+    the record write reaches the commit guard, which retries it."""
+
+    @staticmethod
+    def _faulty_writes(monkeypatch, failures):
+        """Make the store's first *failures* record writes raise the
+        given errnos; returns the list of attempted writes."""
+        import repro.serve.store as store_mod
+
+        write = store_mod.atomic_write_bytes
+        attempts = []
+
+        def faulty(path, blob):
+            attempts.append(path)
+            if len(attempts) <= len(failures):
+                code = failures[len(attempts) - 1]
+                raise OSError(code, os.strerror(code))
+            write(path, blob)
+
+        monkeypatch.setattr(store_mod, "atomic_write_bytes", faulty)
+        return attempts
+
+    def test_enospc_retried_then_committed(self, session, monkeypatch):
+        attempts = self._faulty_writes(monkeypatch, [errno.ENOSPC])
+        scheduler = session.scheduler(jobs=1)
+        (report,) = scheduler.sweep([ScenarioSpec("em3d", paper_mtlb(96))])
+        assert report.ok
+        assert len(attempts) == 2
+        assert scheduler.registry.value("serve.commit_retries") == 1
+        assert session.store.get(report.fingerprint).stats == (
+            dataclasses.asdict(report.stats)
+        )
+
+    def test_persistent_enospc_raises_after_retries(
+        self, session, monkeypatch
+    ):
+        """A disk that stays full exhausts the commit guard's attempts
+        and surfaces as the disk error; nothing is committed."""
+        from repro.serve.scheduler import MAX_COMMIT_ATTEMPTS
+
+        attempts = self._faulty_writes(
+            monkeypatch, [errno.ENOSPC] * MAX_COMMIT_ATTEMPTS
+        )
+        scheduler = session.scheduler(jobs=1)
+        with pytest.raises(OSError) as info:
+            scheduler.sweep([ScenarioSpec("em3d", paper_mtlb(96))])
+        assert info.value.errno == errno.ENOSPC
+        assert len(attempts) == MAX_COMMIT_ATTEMPTS
+        assert scheduler.registry.value("serve.commit_retries") == (
+            MAX_COMMIT_ATTEMPTS - 1
+        )
+        assert list(session.store.keys()) == []
+
+    @pytest.mark.parametrize(
+        "code", [errno.EROFS, errno.EACCES, errno.EPERM],
+        ids=["EROFS", "EACCES", "EPERM"],
+    )
+    def test_read_only_store_runs_uncached(
+        self, session, monkeypatch, code
+    ):
+        attempts = self._faulty_writes(monkeypatch, [code])
+        scheduler = session.scheduler(jobs=1)
+        (report,) = scheduler.sweep([ScenarioSpec("em3d", paper_mtlb(96))])
+        assert report.ok
+        assert len(attempts) == 1
+        assert scheduler.registry.value("serve.commit_retries") == 0
+        assert list(session.store.keys()) == []
+
+    def test_read_only_store_keeps_an_old_schema_record(
+        self, session, monkeypatch
+    ):
+        """An old-schema record is a miss; on a read-only store the
+        rerun's commit writes nothing and leaves the record as it was,
+        instead of failing read-back verification."""
+        spec = ScenarioSpec("em3d", paper_mtlb(96))
+        fingerprint = session.run(spec).fingerprint
+        path = session.store.record_path(fingerprint)
+        record = json.loads(path.read_text())
+        record["schema"], record["schema_version"] = "repro-results/1", 1
+        path.write_text(json.dumps(record))
+        old = path.read_bytes()
+        attempts = self._faulty_writes(monkeypatch, [errno.EROFS])
+        scheduler = session.scheduler(jobs=1)
+        with pytest.warns(RuntimeWarning, match="schema version"):
+            (report,) = scheduler.sweep([spec])
+        assert report.ok and not report.cache_hit
+        assert len(attempts) == 1
+        assert scheduler.registry.value("serve.commit_retries") == 0
+        assert path.read_bytes() == old
 
 
 class TestScaleHygiene:

@@ -16,11 +16,7 @@ from repro.api import ScenarioSpec, Session
 from repro.errors import ReferenceBudgetExceeded, WorkerCrashed
 from repro.serve import SweepClient
 from repro.serve.chaos import ChaosConfig, run_soak
-from repro.serve.supervise import (
-    ShutdownGuard,
-    SupervisionPolicy,
-    load_poison_records,
-)
+from repro.serve.supervise import ShutdownGuard, SupervisionPolicy
 from repro.sim.config import paper_mtlb, paper_no_mtlb
 
 TINY = {"em3d": 0.02, "radix": 0.02}
@@ -133,8 +129,8 @@ class TestPoisonQuarantine:
     def test_deterministic_failure_poisons_sweep_completes(
         self, tmp_path
     ):
-        """A deterministic failure is tried once, quarantined as poison
-        with a typed sidecar, and reported as its own exception; the
+        """A deterministic failure is tried once, listed as poison in
+        the supervision report, and reported as its own exception; the
         rest of the sweep completes."""
         specs = _specs()
         # An impossible reference budget fails deterministically.
@@ -153,10 +149,6 @@ class TestPoisonQuarantine:
         assert record.attempts == 1
         assert record.classification == "deterministic"
         assert record.label == specs[1].label
-        # The sidecar is durably on disk and loadable.
-        loaded = load_poison_records(client.store.poison_dir)
-        assert [r.label for r in loaded] == [record.label]
-        assert client.store.status()["poisoned"] == 1
 
     def test_poisoned_raises_under_raise_errors(self, tmp_path):
         """Under raise_errors the sweep re-raises the scenario's own
@@ -222,45 +214,6 @@ class TestCommitChaos:
         assert all(r.ok for r in reports)
         assert client.registry.value("serve.commit_retries") >= 3
         assert _record_bytes(client.store) == clean_records
-
-
-class TestCircuitBreaker:
-    def _failing_specs(self, n=4):
-        return [
-            dataclasses.replace(spec, max_references=10)
-            for spec in (_specs() * 2)[:n]
-        ]
-
-    def test_first_failure_raised_before_breaker_trips(self, tmp_path):
-        """A sweep that raises its errors stops at its first terminal
-        failure and re-raises it; the breaker never gets to trip."""
-        policy = dataclasses.replace(
-            FAST,
-            max_attempts=1,
-            breaker_threshold=0.5,
-            breaker_min_samples=2,
-        )
-        client = _client(tmp_path, "store", policy=policy)
-        with pytest.raises(ReferenceBudgetExceeded):
-            client.sweep(self._failing_specs())
-        supervision = client.last_supervision
-        assert not supervision.breaker_open
-        assert len(supervision.poison) == 1
-
-    def test_breaker_reported_without_raise(self, tmp_path):
-        policy = dataclasses.replace(
-            FAST,
-            max_attempts=1,
-            breaker_threshold=0.5,
-            breaker_min_samples=2,
-        )
-        client = _client(tmp_path, "store", policy=policy)
-        reports = client.sweep(
-            self._failing_specs(), raise_errors=False
-        )
-        assert not any(r.ok for r in reports)
-        assert client.last_supervision.breaker_open
-        assert client.registry.value("serve.breaker_trips") == 1
 
 
 class TestGracefulDrain:

@@ -143,12 +143,13 @@ class TestEngineAndJobsFlags:
             main(["fig2", "--engine", "turbo"])
 
     def test_engine_choices(self):
-        """``--engine`` offers the three engine settings and nothing
-        else (no timed two-engine mode)."""
-        for engine in ("auto", "scalar", "vector"):
+        """``--engine`` offers the two engines and nothing else (no
+        timed two-engine mode, no ``auto`` synonym)."""
+        for engine in ("scalar", "vector"):
             assert main(["list", "--engine", engine]) == 0
-        with pytest.raises(SystemExit):
-            main(["multiprog", "--engine", "both"])
+        for engine in ("both", "auto"):
+            with pytest.raises(SystemExit):
+                main(["multiprog", "--engine", engine])
 
     def test_jobs_and_engine_accepted(self, capsys):
         # fig2 is static (no matrix), so this just checks flag parsing

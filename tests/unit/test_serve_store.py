@@ -92,20 +92,35 @@ class TestResultStore:
     FP = "ab" + "0" * 62
 
     def test_round_trip(self, tmp_path):
+        """One entry is one self-checksummed file, and a hit serves the
+        committed metrics as floats."""
         store = ResultStore(tmp_path / "store")
         stats = _stats()
         store.put(
             self.FP, workload="em3d", config_label="tlb96",
-            stats=stats, metrics={"total_cycles": 1000.0, "cpi": 1.5},
+            stats=stats, metrics={"total_cycles": 1000, "cpi": 1.5},
             meta={"seed": 1998},
         )
         record = store.get(self.FP)
         assert isinstance(record, StoreRecord)
         assert record.workload == "em3d"
         assert record.run_stats() == stats
-        assert record.metrics == {"total_cycles": 1000.0, "cpi": 1.5}
+        assert record.metrics == {"cpi": 1.5, "total_cycles": 1000.0}
+        assert all(type(v) is float for v in record.metrics.values())
         assert record.meta["seed"] == 1998
         assert self.FP in store
+        path = store.record_path(self.FP)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == STORE_SCHEMA == "repro-results/2"
+        assert list(doc["metrics"]) == ["cpi", "total_cycles"]
+
+    def test_no_metrics_stored_as_null(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(self.FP, "em3d", "tlb96", _stats(), metrics={})
+        doc = json.loads(store.record_path(self.FP).read_text())
+        assert doc["metrics"] is None
+        assert store.get(self.FP).metrics is None
 
     def test_miss_on_absent(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -127,15 +142,45 @@ class TestResultStore:
         store.put(self.FP, "em3d", "tlb96", _stats(2000))
         assert store.get(self.FP).stats["total_cycles"] == 2000
 
-    def test_corrupt_payload_quarantined(self, tmp_path):
+    def test_uncreatable_shard_runs_uncached(self, tmp_path):
+        """A store whose shard directory cannot be created is read-only:
+        ``put`` writes nothing and returns None instead of raising."""
+        root = tmp_path / "store"
+        root.write_text("not a directory")
+        store = ResultStore(root)
+        assert store.put(self.FP, "em3d", "tlb96", _stats()) is None
+        assert root.read_text() == "not a directory"
+
+    def test_corrupt_metrics_quarantined(self, tmp_path):
+        """The record's one checksum covers its metrics too."""
         store = ResultStore(tmp_path / "store")
         store.put(
             self.FP, "em3d", "tlb96", _stats(),
             metrics={"cpi": 1.5},
         )
-        store.payload_path(self.FP).write_bytes(b"not an npz")
-        with pytest.warns(RuntimeWarning, match="quarantin"):
+        path = store.record_path(self.FP)
+        record = json.loads(path.read_text())
+        record["metrics"]["cpi"] = 2.5  # bit-rot
+        path.write_text(json.dumps(record))
+        with pytest.warns(RuntimeWarning, match="checksum"):
             assert store.get(self.FP) is None
+        assert (store.quarantine_dir / path.name).exists()
+
+    def test_non_numeric_metrics_quarantined(self, tmp_path):
+        """A record whose checksum holds but whose metrics are not all
+        numbers is malformed, not servable."""
+        from repro.serve.store import _record_checksum
+
+        store = ResultStore(tmp_path / "store")
+        store.put(self.FP, "em3d", "tlb96", _stats(), metrics={"cpi": 1.5})
+        path = store.record_path(self.FP)
+        record = json.loads(path.read_text())
+        record["metrics"]["cpi"] = "fast"
+        record["checksum"] = _record_checksum(record)
+        path.write_text(json.dumps(record))
+        with pytest.warns(RuntimeWarning, match="metrics"):
+            assert store.get(self.FP) is None
+        assert (store.quarantine_dir / path.name).exists()
 
     def test_truncated_record_quarantined(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -146,19 +191,23 @@ class TestResultStore:
         with pytest.warns(RuntimeWarning):
             assert store.get(self.FP) is None
 
-    def test_schema_version_mismatch_is_soft_miss(self, tmp_path):
-        """A future schema is not corruption: warn and miss, but leave
-        the entry for the build that understands it."""
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_schema_version_mismatch_is_soft_miss(self, tmp_path, version):
+        """A past (the two-file layout) or future schema is not
+        corruption: warn and miss, leave the entry in place, and let
+        the next commit of the fingerprint overwrite it."""
         store = ResultStore(tmp_path / "store")
         store.put(self.FP, "em3d", "tlb96", _stats())
         path = store.record_path(self.FP)
         record = json.loads(path.read_text())
-        record["schema"] = "repro-results/99"
-        record["schema_version"] = 99
+        record["schema"] = f"repro-results/{version}"
+        record["schema_version"] = version
         path.write_text(json.dumps(record))
         with pytest.warns(RuntimeWarning, match="schema version"):
             assert store.get(self.FP) is None
         assert path.exists()  # not quarantined
+        store.put(self.FP, "em3d", "tlb96", _stats(2000))
+        assert store.get(self.FP).stats["total_cycles"] == 2000
 
     def test_unknown_stats_fields_rejected(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -178,6 +227,18 @@ class TestResultStore:
         assert status["schema"] == STORE_SCHEMA
         assert status["bytes"] > 0
         assert list(store.keys()) == [self.FP]
+
+    def test_inventory_reads_shards_only(self, tmp_path):
+        """Quarantined files and a leftover ``poison/`` directory from
+        older releases are neither entries nor keys."""
+        store = ResultStore(tmp_path / "store")
+        store.put(self.FP, "em3d", "tlb96", _stats())
+        for name in ("quarantine/dead.json", "poison/ee.poison.json"):
+            (store.root / name).parent.mkdir()
+            (store.root / name).write_text("{}")
+        assert list(store.keys()) == [self.FP]
+        assert store.status()["entries"] == 1
+        assert store.status()["quarantined"] == 1
 
 
 class TestDurability:
@@ -237,28 +298,6 @@ class TestDurability:
         store.put(self.FP, "em3d", "tlb96", _stats(4242))
         assert store.get(self.FP).stats["total_cycles"] == 4242
 
-    def test_poison_dir_excluded_from_inventory(self, tmp_path):
-        from repro.serve.supervise import (
-            PoisonRecord,
-            write_poison_record,
-        )
-
-        store = ResultStore(tmp_path / "store")
-        store.put(self.FP, "em3d", "tlb96", _stats())
-        write_poison_record(
-            store.poison_dir,
-            PoisonRecord(
-                index=0, label="gcc|tlb64", fingerprint="ee" * 32,
-                workload="gcc", config_label="tlb64", attempts=4,
-                classification="deterministic",
-                errors=["SimulationError: boom"],
-            ),
-        )
-        status = store.status()
-        assert status["entries"] == 1
-        assert status["poisoned"] == 1
-        assert list(store.keys()) == [self.FP]
-
 
 class TestSpecValidation:
     def test_unknown_workload(self):
@@ -272,6 +311,17 @@ class TestSpecValidation:
 
         with pytest.raises(SpecValidationError, match="engine"):
             ScenarioSpec("em3d", engine="warp")
+
+    def test_auto_is_not_an_engine(self):
+        """``vector`` is the default engine and has no other spelling."""
+        from repro.api import ScenarioSpec
+        from repro.sim.config import SystemConfig
+
+        assert SystemConfig().engine == "vector"
+        with pytest.raises(ValueError, match="engine"):
+            SystemConfig(engine="auto")
+        with pytest.raises(SpecValidationError, match="engine"):
+            ScenarioSpec("em3d", engine="auto")
 
     def test_vector_with_fault_plan_validates(self):
         """PR-8 lift: fault plans batch, so a vector spec carrying one
@@ -330,10 +380,10 @@ class TestConcurrentWriters:
         assert list(root.rglob("*.tmp")) == []
 
     def test_tmp_stage_names_are_private(self, tmp_path):
-        from repro.serve.store import _tmp_path
+        from repro.ioutil import unique_tmp_path
 
         target = tmp_path / "x.json"
-        assert _tmp_path(target) != _tmp_path(target)
+        assert unique_tmp_path(target) != unique_tmp_path(target)
 
     def test_failed_write_cleans_its_stage(self, tmp_path, monkeypatch):
         import repro.serve.store as store_mod
@@ -395,22 +445,6 @@ class TestGc:
         assert fresh.exists()
         assert store.get(self.FP) is not None  # entries untouched
 
-    def test_old_poison_sidecars_pruned(self, tmp_path):
-        import os
-
-        store = self._seeded(tmp_path)
-        store.poison_dir.mkdir(parents=True)
-        old = store.poison_dir / "aa.poison.json"
-        old.write_text("{}")
-        ancient = time.time() - 8 * 86400
-        os.utime(old, (ancient, ancient))
-        fresh = store.poison_dir / "bb.poison.json"
-        fresh.write_text("{}")
-        summary = store.gc(max_age_seconds=7 * 86400.0)
-        assert summary["poison_removed"] == 1
-        assert not old.exists()
-        assert fresh.exists()
-
     def test_dry_run_removes_nothing(self, tmp_path):
         import os
 
@@ -430,5 +464,5 @@ class TestGc:
         store.quarantine_dir.mkdir(parents=True)
         evidence = store.quarantine_dir / "bad.json"
         evidence.write_text("{}")
-        store.gc(max_age_seconds=0.0, tmp_grace_seconds=0.0)
+        store.gc(tmp_grace_seconds=0.0)
         assert evidence.exists()

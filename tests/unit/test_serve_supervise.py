@@ -1,12 +1,11 @@
-"""Unit tests: supervision policy, poison sidecars, shutdown guard.
+"""Unit tests: supervision policy, poison records, shutdown guard.
 
 The pool-level behaviour (kills, retries, drains) is pinned by
 ``tests/integration/test_serve_supervised.py``; these tests cover the
 pure pieces — policy validation, backoff arithmetic, the poison
-sidecar format, and the two-stage shutdown state machine.
+record, and the two-stage shutdown state machine.
 """
 
-import json
 import random
 import signal
 
@@ -26,12 +25,9 @@ from repro.errors import (
 from repro.serve.supervise import (
     EXIT_ABORTED,
     EXIT_INTERRUPTED,
-    POISON_SCHEMA,
     PoisonRecord,
     ShutdownGuard,
     SupervisionPolicy,
-    load_poison_records,
-    write_poison_record,
 )
 
 
@@ -48,9 +44,6 @@ class TestPolicy:
             {"max_attempts": 0},
             {"backoff_base_seconds": -1.0},
             {"backoff_jitter": 1.5},
-            {"breaker_threshold": 0.0},
-            {"breaker_threshold": 1.1},
-            {"breaker_min_samples": 0},
             {"watchdog_tick_seconds": 0.0},
         ],
     )
@@ -140,11 +133,11 @@ class TestSpecSupervisionKnobs:
         assert plain == tuned
 
 
-def _poison(fingerprint="ab" + "0" * 62):
+def _poison():
     return PoisonRecord(
         index=3,
         label="em3d|tlb96",
-        fingerprint=fingerprint,
+        fingerprint="ab" + "0" * 62,
         workload="em3d",
         config_label="tlb96",
         attempts=4,
@@ -154,43 +147,6 @@ def _poison(fingerprint="ab" + "0" * 62):
 
 
 class TestPoisonRecord:
-    def test_json_carries_schema(self):
-        doc = _poison().to_json()
-        assert doc["schema"] == POISON_SCHEMA
-        assert doc["classification"] == "deterministic"
-
-    def test_sidecar_named_by_fingerprint(self):
-        record = _poison()
-        assert record.sidecar_name() == (
-            f"{record.fingerprint}.poison.json"
-        )
-        assert _poison(fingerprint=None).sidecar_name() == (
-            "idx3.poison.json"
-        )
-
-    def test_write_load_round_trip(self, tmp_path):
-        record = _poison()
-        path = write_poison_record(tmp_path / "poison", record)
-        assert path.exists()
-        loaded = load_poison_records(tmp_path / "poison")
-        assert loaded == [record]
-
-    def test_load_skips_bad_files(self, tmp_path):
-        poison_dir = tmp_path / "poison"
-        write_poison_record(poison_dir, _poison())
-        (poison_dir / "garbage.poison.json").write_text("{not json")
-        (poison_dir / "alien.poison.json").write_text(
-            json.dumps({"schema": "other/1", "label": "x"})
-        )
-        (poison_dir / "short.poison.json").write_text(
-            json.dumps({"schema": POISON_SCHEMA, "label": "x"})
-        )
-        loaded = load_poison_records(poison_dir)
-        assert [r.label for r in loaded] == ["em3d|tlb96"]
-
-    def test_load_missing_dir_is_empty(self, tmp_path):
-        assert load_poison_records(tmp_path / "nonesuch") == []
-
     def test_last_error(self):
         assert _poison().last_error == "SimulationError: boom"
         empty = _poison()
