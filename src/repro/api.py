@@ -8,17 +8,15 @@ One typed facade serves every scenario:
   overrides;
 * :func:`run` / :meth:`Session.run` — serve one scenario, returning
   a :class:`RunReport`;
-* :meth:`Session.sweep` — run a batch through the sharded async
-  scheduler (:mod:`repro.serve`), deduplicating against the session's
+* :meth:`Session.sweep` — run a batch through the sharded scheduler
+  (:mod:`repro.serve`), deduplicating against the session's
   content-addressed result store so repeated sweeps are served from
   disk instead of resimulated.
 
-``run(spec)`` takes exactly the scheduler's single-scenario steps
-(validate, fingerprint, store lookup, execute, guarded commit), so it
-drives the same :class:`~repro.sim.system.System` as
-``System(config).run(trace)`` and commits the same store record a
-sweep of that one spec would; both equivalences are pinned by
-``tests/integration/test_serve_scheduler.py``.
+``run(spec)`` is a one-spec sweep, so it drives the same
+:class:`~repro.sim.system.System` as ``System(config).run(trace)`` and
+commits the record a sweep of that spec commits; both equivalences are
+pinned by ``tests/integration/test_serve_scheduler.py``.
 
 Public-vs-internal boundary: everything exported from ``repro``
 (``__init__.__all__``) is stable API; ``System``, ``MultiProgram``, and
@@ -29,7 +27,6 @@ conventions may change — new code should enter through this module.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -361,9 +358,10 @@ class Session:
 
     A Session owns a :class:`~repro.bench.runner.BenchContext` (input
     scales, on-disk trace cache, seed) and, optionally, a
-    :class:`~repro.serve.store.ResultStore`.  ``run`` serves one
-    scenario — from the store when possible — and ``sweep`` fans a
-    batch out through the sharded async scheduler.
+    :class:`~repro.serve.store.ResultStore`.  ``sweep`` runs a batch
+    through the sharded scheduler, serving what it can from the store,
+    and ``run`` is a one-spec sweep.  Both are plain synchronous calls,
+    so they work inside a running event loop (a notebook) too.
     """
 
     def __init__(
@@ -399,42 +397,9 @@ class Session:
     # -- single scenario ------------------------------------------------ #
 
     def run(self, spec: ScenarioSpec) -> RunReport:
-        """Serve one scenario with the scheduler's own steps, in order:
-        fingerprint, store lookup, execute, guarded commit — so the
-        record is byte-identical to the one a sweep commits.  No event
-        loop of its own, so it works inside a running one (a notebook).
-        """
-        from .serve.scheduler import (
-            execute_spec,
-            guarded_commit,
-            resolve_scales,
-            spec_fingerprint,
-            store_report,
-        )
-
-        validate_spec(spec)
-        scales = resolve_scales(spec, self.context)
-        fingerprint = spec_fingerprint(spec, self.context, scales)
-        store = self.store if fingerprint is not None else None
-        if store is not None:
-            report = store_report(store, spec, fingerprint)
-            if report is not None:
-                return report
-        start = time.perf_counter()
-        result = execute_spec(self.context, spec, scales)
-        report = RunReport(
-            spec=spec,
-            stats=result.stats,
-            fingerprint=fingerprint,
-            metrics=result.metrics,
-            wall_seconds=time.perf_counter() - start,
-        )
-        if store is not None:
-            guarded_commit(
-                store, self.context, spec, fingerprint, report,
-                scales=scales,
-            )
-        return report
+        """Serve one scenario as a one-spec sweep of :meth:`scheduler`;
+        a failed scenario raises its own error."""
+        return self.scheduler().sweep([spec])[0]
 
     # -- batches --------------------------------------------------------- #
 
@@ -453,7 +418,7 @@ class Session:
         self, jobs: Optional[int] = None, progress: bool = False
     ):
         """A :class:`~repro.serve.scheduler.SweepScheduler` over this
-        session's context and store (the async submit/gather surface)."""
+        session's context and store."""
         from .serve.scheduler import SweepScheduler
 
         return SweepScheduler(

@@ -658,8 +658,9 @@ def _serve_sweep(args) -> int:
     """``repro serve sweep``: a figure through the scenario service.
 
     Scenarios already in the content-addressed store are served from
-    disk; the rest are sharded over supervised worker processes
-    (deadlines, retry-with-backoff — DESIGN.md §13).
+    disk; the rest run in-process (``--jobs 1``) or are sharded over
+    supervised worker processes (deadlines, retry-with-backoff —
+    DESIGN.md §13).
     The output is the same standardized metrics snapshot
     ``repro-bench`` writes, so a cold and a warm sweep can be compared
     with ``repro metrics diff --require-identical``.
@@ -757,7 +758,7 @@ def _serve_sweep(args) -> int:
             f"{type(report.error).__name__}: {report.error}",
             file=sys.stderr,
         )
-    if guard.drain_requested and supervision is not None:
+    if guard.drain_requested:
         return EXIT_ABORTED if guard.abort_requested else EXIT_INTERRUPTED
     return 1 if failed else 0
 

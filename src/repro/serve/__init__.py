@@ -10,17 +10,19 @@ Seven layers, bottom-up:
   fsync'd for crash durability; ``gc()`` prunes orphaned write
   stages);
 * :mod:`~repro.serve.supervise` — the supervised shard pool: deadlines
-  with a hard-kill watchdog, retry-with-backoff, poison reporting,
-  graceful SIGINT/SIGTERM draining — in batch mode
-  (:meth:`ShardSupervisor.run`) or resident mode
-  (:meth:`ShardSupervisor.serve`);
+  with a hard-kill watchdog, retry-with-backoff (the one retry rule the
+  serial loop follows too), poison reporting, graceful SIGINT/SIGTERM
+  draining — in batch mode (:meth:`ShardSupervisor.run`) or resident
+  mode (:meth:`ShardSupervisor.serve`);
 * :mod:`~repro.serve.chaos` — deterministic service-layer failure
   injection (seeded like :mod:`repro.faults`) and the ``repro chaos
   soak`` bit-identity harness;
 * :mod:`~repro.serve.scheduler` / :mod:`~repro.serve.client` — the
-  async :class:`SweepScheduler` (asyncio front, supervised workers,
-  verified commits, obs-instrumented) and its :class:`SweepClient`
-  front door (local pool or ``daemon=`` HTTP transport);
+  synchronous :class:`SweepScheduler` (one ``sweep()`` for every entry
+  point: an in-process loop or supervised workers, every outcome
+  settled and committed by one step, obs-instrumented) and its
+  :class:`SweepClient` front door (local scheduler or ``daemon=`` HTTP
+  transport);
 * :mod:`~repro.serve.queue` / :mod:`~repro.serve.http` /
   :mod:`~repro.serve.daemon` — the resident scenario daemon: a
   priority + weighted-fair tenant queue multiplexing many HTTP clients
@@ -50,7 +52,6 @@ from .fingerprint import (
 from .queue import FairQueue, QueueClosed
 from .scheduler import (
     SweepScheduler,
-    SweepTicket,
     execute_spec,
     guarded_commit,
     resolve_scales,
@@ -96,7 +97,6 @@ __all__ = [
     "SupervisionReport",
     "SweepClient",
     "SweepScheduler",
-    "SweepTicket",
     "TaskIntake",
     "atomic_write_bytes",
     "canonical_scenario",

@@ -2,9 +2,9 @@
 
 :class:`SweepClient` is what ``repro serve sweep`` is built on, and what
 a notebook or driver script should import: it owns a
-:class:`~repro.api.Session` (trace cache + result store), exposes the
-scheduler's async ``submit()``/``gather()`` pair for callers that want
-to overlap batches, and a synchronous ``sweep()`` for everyone else::
+:class:`~repro.api.Session` (trace cache + result store) and runs
+batches with ``sweep()``, on the local scheduler or, with ``daemon=``,
+on a resident daemon; ``run()`` is a one-spec sweep::
 
     from repro import ScenarioSpec, SweepClient
     from repro.sim.config import figure3_configs
@@ -22,6 +22,7 @@ rerun of yesterday's matrix costs a directory scan, not a simulation.
 
 from __future__ import annotations
 
+import builtins
 import http.client
 import json
 import os
@@ -35,7 +36,7 @@ from ..errors import DaemonProtocolError, DaemonUnavailable, ReproError
 from ..obs import MetricsRegistry
 from ..sim.stats import RunStats
 from .chaos import ChaosConfig, ChaosPlan
-from .scheduler import SweepScheduler, SweepTicket
+from .scheduler import SweepScheduler
 from .store import ResultStore, default_store_root
 from .supervise import (
     ShutdownGuard,
@@ -52,16 +53,18 @@ DAEMON_TIMEOUT_SECONDS = 3600.0
 
 def _daemon_error(event: Dict[str, object]) -> BaseException:
     """The exception a daemon error event stands for: a
-    :class:`~repro.errors.ReproError` subclass from :mod:`repro.errors`
-    rebuilt from ``error_args``, else a ``RuntimeError`` naming the type.
+    :class:`~repro.errors.ReproError` subclass from :mod:`repro.errors`,
+    or a built-in ``OSError`` type (a full disk at commit), rebuilt from
+    ``error_args``; else a ``RuntimeError`` naming the type.
     """
     error_type = str(event.get("error_type") or "RuntimeError")
     cls = getattr(errors, error_type, None)
+    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+        cls = getattr(builtins, error_type, None)
+        if not (isinstance(cls, type) and issubclass(cls, OSError)):
+            cls = None
     args = event.get("error_args")
-    if (
-        isinstance(cls, type) and issubclass(cls, ReproError)
-        and isinstance(args, list)
-    ):
+    if cls is not None and isinstance(args, list):
         try:
             return cls(*args)
         except TypeError:  # arguments for another version's signature
@@ -73,9 +76,9 @@ def _daemon_error(event: Dict[str, object]) -> BaseException:
 class SweepClient:
     """Submit scenario batches to the sharded, store-backed scheduler.
 
-    *policy* tunes the pool's supervision (deadlines, retries of
-    retryable failures —
-    :class:`~repro.serve.supervise.SupervisionPolicy`);
+    *policy* tunes supervision
+    (:class:`~repro.serve.supervise.SupervisionPolicy`: retries of
+    retryable failures on any path, and the pool's deadlines);
     *chaos* arms deterministic service-layer failure injection
     (:class:`~repro.serve.chaos.ChaosConfig`); *shutdown* wires a
     :class:`~repro.serve.supervise.ShutdownGuard` for graceful
@@ -133,40 +136,19 @@ class SweepClient:
             shutdown=shutdown,
         )
 
-    # -- async surface --------------------------------------------------- #
-
-    async def submit(
-        self,
-        specs: Sequence[ScenarioSpec],
-        on_result: Optional[Callable[[int, RunReport], None]] = None,
-        raise_errors: bool = True,
-    ) -> SweepTicket:
-        """Validate + launch a batch; completion events stream to
-        *on_result* as ``(submission_index, RunReport)`` pairs.  With
-        *raise_errors* the batch stops at its first failed scenario
-        and ``gather`` re-raises that scenario's exception."""
-        return await self.scheduler.submit(
-            specs, on_result=on_result, raise_errors=raise_errors
-        )
-
-    async def gather(self, ticket: SweepTicket) -> List[RunReport]:
-        """Await a submitted batch; reports in submission order."""
-        return await self.scheduler.gather(ticket)
-
-    # -- sync surface ----------------------------------------------------- #
-
     def sweep(
         self,
         specs: Sequence[ScenarioSpec],
         on_result: Optional[Callable[[int, RunReport], None]] = None,
         raise_errors: bool = True,
     ) -> List[RunReport]:
-        """Submit + gather one batch synchronously.
+        """Run one batch; reports in submission order.
 
         With ``daemon=`` set the batch goes over HTTP to the resident
         daemon; otherwise the local sharded scheduler runs it.  Either
-        way: reports in submission order, *on_result* streamed as
-        scenarios complete.
+        way *on_result* is streamed ``(submission_index, RunReport)``
+        pairs as scenarios complete, and with *raise_errors* the first
+        failed scenario's own exception is raised.
         """
         if self.daemon is not None:
             return self._sweep_daemon(specs, on_result, raise_errors)
@@ -306,8 +288,7 @@ class SweepClient:
         )
 
     def _count(self, source: Optional[str]) -> None:
-        """Count one scenario served outside the local scheduler — a
-        daemon answer or a :meth:`run` — in the scheduler's counters, so
+        """Count one daemon answer in the scheduler's counters, so
         ``cache_hit_rate`` / ``status()`` cover it as they cover a local
         sweep.  *source* is ``"failed"``, ``"store"``, ``"coalesced"``
         or ``"executed"``."""
@@ -323,19 +304,9 @@ class SweepClient:
             sched.simulated.inc()
 
     def run(self, spec: ScenarioSpec) -> RunReport:
-        """One scenario: a one-spec batch to the daemon when
-        ``daemon=`` is set, else :meth:`Session.run` (store-checked).
-        A failed scenario raises its own error either way."""
-        if self.daemon is not None:
-            return self._sweep_daemon([spec], None, True)[0]
-        validate_spec(spec)  # a sweep counts only valid specs
-        try:
-            report = self.session.run(spec)
-        except Exception:  # noqa: BLE001 - counted, then re-raised
-            self._count("failed")
-            raise
-        self._count("store" if report.cache_hit else "executed")
-        return report
+        """One scenario as a one-spec :meth:`sweep`, local or through
+        the daemon; a failed scenario raises its own error."""
+        return self.sweep([spec])[0]
 
     # -- introspection ---------------------------------------------------- #
 

@@ -22,10 +22,11 @@ Deduplication happens at two horizons, both by store fingerprint:
 
 Execution and commit are byte-identical to ``repro serve sweep``: the
 same :func:`~repro.serve.scheduler.execute_spec` funnel in the same
-supervised workers, committed through the same
-:func:`~repro.serve.scheduler.guarded_commit` discipline, so a store
-populated through the daemon is bit-identical to one populated by a
-batch sweep of the same specs.
+supervised workers, each outcome settled by the same
+:func:`~repro.serve.scheduler.settle_outcome` step (a commit that keeps
+failing becomes the scenario's error event), so a store populated
+through the daemon is bit-identical to one populated by a batch sweep
+of the same specs.
 
 Endpoints (HTTP/1.1, ``Connection: close``):
 
@@ -55,13 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..api import (
-    RunReport,
-    ScenarioSpec,
-    Session,
-    spec_from_doc,
-    validate_spec,
-)
+from ..api import ScenarioSpec, Session, spec_from_doc, validate_spec
 from ..bench.runner import BenchContext
 from ..errors import SpecValidationError, SweepInterrupted
 from ..obs import MetricsRegistry, render_prometheus
@@ -74,11 +69,15 @@ from .http import (
     read_request,
 )
 from .queue import FairQueue, QueueClosed
-from .scheduler import guarded_commit, resolve_scales, spec_fingerprint
+from .scheduler import (
+    resolve_scales,
+    scenario_task,
+    settle_outcome,
+    spec_fingerprint,
+)
 from .store import ResultStore, default_store_root
 from .supervise import (
     ScenarioOutcome,
-    ScenarioTask,
     ShardSupervisor,
     ShutdownGuard,
     SupervisionPolicy,
@@ -272,49 +271,31 @@ class ScenarioDaemon:
     # -- pool-side completion (supervisor thread) ------------------------- #
 
     def _on_outcome(self, outcome: ScenarioOutcome) -> None:
-        """Commit one terminal scenario, then wake its waiters.
+        """Settle one terminal scenario, then wake its waiters.
 
         Runs on the supervisor thread: the store commit (blocking disk
         I/O, retries, read-back verification) happens here, off the
-        event loop; only the waiter hand-off crosses threads.
+        event loop; only the waiter hand-off crosses threads.  A commit
+        that keeps failing reaches the waiters as the scenario's error,
+        as it does in a batch sweep.
         """
         task = outcome.task
-        if outcome.error is not None:
-            self.failed.inc()
-            payload = _error_payload(task.fingerprint, outcome.error)
-        else:
+        report = settle_outcome(
+            outcome, self.store, self.context,
+            log=self._log, on_retry=self.commit_retries.inc,
+        )
+        if report.ok:
+            self.simulated.inc()
+            self._log(f"  finished {task.label}")
             payload = {
                 "fingerprint": task.fingerprint,
                 "stats": outcome.stats,
                 "metrics": outcome.metrics,
                 "wall_seconds": outcome.wall_seconds,
             }
-            try:
-                if (
-                    self.store is not None
-                    and task.fingerprint is not None
-                    and outcome.stats is not None
-                ):
-                    guarded_commit(
-                        self.store,
-                        self.context,
-                        task.spec,
-                        task.fingerprint,
-                        _committable(task.spec, outcome),
-                        log=self._log,
-                        on_retry=self.commit_retries.inc,
-                        scales=(
-                            dict(task.scales) if task.scales else None
-                        ),
-                    )
-            except OSError as exc:
-                # The result is real even if the disk refused it; the
-                # waiter gets the stats, the error goes to the log.
-                self._log(
-                    f"  daemon commit failed on {task.label}: {exc}"
-                )
-            self.simulated.inc()
-            self._log(f"  finished {task.label}")
+        else:
+            self.failed.inc()
+            payload = _error_payload(task.fingerprint, report.error)
         if self._loop is not None:
             self._loop.call_soon_threadsafe(
                 self._resolve, task.index, payload
@@ -618,15 +599,7 @@ class ScenarioDaemon:
         )
         future = self._loop.create_future()
         flight.waiters.append(future)
-        task = ScenarioTask(
-            index=task_id,
-            spec=spec,
-            label=spec.label,
-            fingerprint=fingerprint,
-            workload="+".join(spec.workloads),
-            config_label=spec.config.label,
-            scales=tuple(sorted(scales.items())),
-        )
+        task = scenario_task(task_id, spec, fingerprint, scales)
         try:
             self.queue.push(
                 tenant, task, priority=priority, weight=weight
@@ -720,20 +693,6 @@ def _error_payload(
         "error_type": type(error).__name__,
         "error_args": args,
     }
-
-
-def _committable(spec: ScenarioSpec, outcome: ScenarioOutcome) -> RunReport:
-    """A RunReport view of one outcome, shaped for guarded_commit."""
-    from ..sim.stats import RunStats
-
-    return RunReport(
-        spec=spec,
-        stats=RunStats(**outcome.stats),
-        fingerprint=outcome.task.fingerprint,
-        cache_hit=False,
-        metrics=outcome.metrics,
-        wall_seconds=outcome.wall_seconds,
-    )
 
 
 def _text_response(body: bytes) -> bytes:

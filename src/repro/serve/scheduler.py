@@ -1,59 +1,57 @@
-"""Sharded async sweep scheduler: batches of scenarios, deduped and cached.
+"""Sharded sweep scheduler: batches of scenarios, deduped and cached.
 
 The scheduler is the scenario service's execution core (DESIGN.md §12).
-One sweep moves through four stages:
+:meth:`SweepScheduler.sweep` is a plain synchronous call, so it works
+anywhere, a running event loop included, and every entry point goes
+through it: ``Session.run`` and ``SweepClient.run`` are one-spec
+sweeps.  One sweep takes three steps:
 
-1. **validate** — every spec is checked up front
+1. **plan** — every spec is validated up front
    (:func:`repro.api.validate_spec`), so a bad ``--jobs``/``--engine``
    combination fails fast in the submitting process, never inside a
-   worker;
-2. **dedupe** — each spec is fingerprinted
-   (:mod:`repro.serve.fingerprint`); store hits are served immediately,
-   and duplicate fingerprints *within* the batch collapse onto one
-   pending execution (submitted twice, simulated once);
-3. **supervise** — the remaining unique scenarios are dispatched one at
-   a time onto a pool of supervised worker processes
-   (:class:`~repro.serve.supervise.ShardSupervisor`, DESIGN.md §13):
-   per-scenario wall-clock deadlines with a hard-kill watchdog, and
-   retry-with-backoff for failures a rerun can clear.  A dead worker
-   costs exactly the scenario it was running — the slot is respawned
-   and that one scenario retried.  A batch submitted with
-   ``raise_errors`` stops at its first terminal failure and re-raises
-   it, as the serial path does; any other batch runs every scenario
-   and reports each one's own outcome, at any ``jobs``;
-4. **commit** — completed scenarios are written to the content-addressed
-   store and streamed to the caller's ``on_result`` callback as they
-   arrive (partial-progress commits: a killed sweep resumes as store
-   cache hits).  Each commit is *verified* by reading the record back
-   through the store's checksum and rewritten if corrupt; disk errors
-   (real or chaos-injected) are retried with backoff, and only a
-   read-only store runs uncached.
+   worker; each spec is fingerprinted (:mod:`repro.serve.fingerprint`),
+   store hits are served immediately, and duplicate fingerprints
+   *within* the batch collapse onto one execution (submitted twice,
+   simulated once);
+2. **run** — the remaining unique scenarios run in submission order on
+   the in-process loop, or, with ``jobs > 1`` and more than one of
+   them, on a pool of supervised worker processes
+   (:class:`~repro.serve.supervise.ShardSupervisor`, DESIGN.md §13)
+   driven on the calling thread.  Both follow one retry rule
+   (:func:`~repro.serve.supervise.retry_delay`) and stop starting
+   scenarios once a :class:`~repro.serve.supervise.ShutdownGuard`
+   drains; only the pool has deadlines, crash isolation and chaos
+   dispatch directives, because an in-process scenario cannot be
+   killed;
+3. **assemble** — reports come back in submission order.
 
-The front is ``asyncio`` (``await submit(...)`` / ``await gather(...)``)
-so a service embedding the scheduler can overlap sweeps; the synchronous
-:meth:`SweepScheduler.sweep` wrapper drives one batch to completion.
-With ``jobs <= 1`` scenarios run serially in-process, in submission
-order.  :meth:`repro.api.Session.run` takes the same single-scenario
-steps (:func:`spec_fingerprint`, :func:`store_report`,
-:func:`execute_spec`, :func:`guarded_commit`) synchronously, without an
-event loop.
+Each terminal outcome, serial or pooled, is settled by one step: the
+scenario is committed to the content-addressed store through
+:func:`guarded_commit` (verified by reading the record back; disk
+errors are retried with backoff, and only a read-only store runs
+uncached), counted, and streamed to the caller's ``on_result`` as it
+arrives, so a killed sweep resumes as store cache hits.  A commit that
+still fails after :data:`MAX_COMMIT_ATTEMPTS` becomes that scenario's
+``OSError`` outcome.  A sweep run with ``raise_errors`` stops at its
+first failed scenario and raises its exception; any other sweep runs
+every scenario and reports each one's own outcome, at any ``jobs``.
 
 Everything the scheduler observes is exported through
 :class:`~repro.obs.MetricsRegistry` instruments: submitted / store-hit /
-deduped / simulated / failed counters, a live queue-depth gauge, and a
-shard wall-time histogram.
+deduped / simulated / failed / retries counters, a live queue-depth
+gauge, and a shard wall-time histogram.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import pickle
+import random
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api import RunReport, ScenarioSpec, validate_spec
 from ..bench.runner import BenchContext
@@ -73,14 +71,15 @@ from .supervise import (
     ShutdownGuard,
     SupervisionPolicy,
     SupervisionReport,
+    retry_delay,
 )
 
 __all__ = [
     "SweepScheduler",
-    "SweepTicket",
     "execute_spec",
     "guarded_commit",
     "resolve_scales",
+    "settle_outcome",
     "spec_fingerprint",
     "spec_scale",
     "store_report",
@@ -96,7 +95,7 @@ COMMIT_BACKOFF_SECONDS = 0.05
 
 
 # ====================================================================== #
-# Spec execution (shared by the serial path, the workers, and Session)
+# Spec execution (shared by the serial loop, the workers and the daemon)
 # ====================================================================== #
 
 
@@ -331,6 +330,70 @@ def guarded_commit(
     raise last_error or OSError("commit failed")
 
 
+def scenario_task(
+    index: int,
+    spec: ScenarioSpec,
+    fingerprint: Optional[str],
+    scales: Dict[str, float],
+) -> ScenarioTask:
+    """One planned spec as the run step sees it: identity plus the
+    resolved *scales* its fingerprint was computed at."""
+    return ScenarioTask(
+        index=index,
+        spec=spec,
+        label=spec.label,
+        fingerprint=fingerprint,
+        workload="+".join(spec.workloads),
+        config_label=spec.config.label,
+        scales=tuple(sorted(scales.items())),
+    )
+
+
+def settle_outcome(
+    outcome: ScenarioOutcome,
+    store: Optional[ResultStore],
+    context: BenchContext,
+    chaos: Optional[ChaosPlan] = None,
+    log: Optional[Callable[[str], None]] = None,
+    on_retry: Optional[Callable[[], None]] = None,
+) -> RunReport:
+    """The report one terminal outcome settles as, committed.
+
+    The one place a :class:`ScenarioOutcome` becomes a
+    :class:`~repro.api.RunReport`, for the scheduler's serial loop and
+    pool and for the daemon: a failed outcome reports its error; a
+    successful one is committed through :func:`guarded_commit` (when it
+    has a store address) and reports its stats.  A commit that still
+    fails after :data:`MAX_COMMIT_ATTEMPTS` makes the scenario fail with
+    that ``OSError``, so a result is only ever reported as committed
+    when it is.
+    """
+    task = outcome.task
+    error = outcome.error
+    if error is None:
+        report = RunReport(
+            spec=task.spec,
+            stats=RunStats(**outcome.stats),
+            fingerprint=task.fingerprint,
+            metrics=outcome.metrics,
+            wall_seconds=outcome.wall_seconds,
+        )
+        try:
+            if store is not None and task.fingerprint is not None:
+                guarded_commit(
+                    store, context, task.spec, task.fingerprint, report,
+                    chaos=chaos, log=log, on_retry=on_retry,
+                    scales=dict(task.scales) if task.scales else None,
+                )
+            return report
+        except OSError as exc:
+            error = exc
+    return RunReport(
+        spec=task.spec, stats=None, fingerprint=task.fingerprint,
+        error=error,
+    )
+
+
 def _picklable(exc: BaseException) -> BaseException:
     """The exception itself if it survives pickling, else a summary.
 
@@ -352,39 +415,14 @@ def _picklable(exc: BaseException) -> BaseException:
 
 @dataclass
 class _Entry:
-    """One submitted spec's lifecycle inside a ticket."""
+    """One submitted spec's place in a sweep."""
 
-    index: int
-    spec: ScenarioSpec
-    fingerprint: Optional[str]
-    #: The resolved per-workload scales this entry was fingerprinted
-    #: at; execution and commit pin exactly these.
-    scales: Optional[Dict[str, float]] = None
+    task: ScenarioTask
+    #: The scenario's terminal report, ok or failed; None until settled.
     report: Optional[RunReport] = None
-    error: Optional[BaseException] = None
     #: The entry this one deduplicated onto (same fingerprint, earlier
     #: in the batch); resolved at assembly time.
     primary: Optional["_Entry"] = None
-
-
-@dataclass
-class SweepTicket:
-    """Handle for one submitted batch, consumed by ``gather``."""
-
-    entries: List[_Entry]
-    #: Entries that need simulation, in submission order.
-    to_run: List[_Entry] = field(default_factory=list)
-    #: Pool mode: the supervisor driving the batch and its awaitable
-    #: (the supervision loop running on a thread).
-    supervisor: Optional[ShardSupervisor] = None
-    task: Optional[object] = None
-    #: The supervisor's report, available once gathered.
-    supervision: Optional[SupervisionReport] = None
-    on_result: Optional[Callable[[int, RunReport], None]] = None
-    #: Stop at the first failed scenario and re-raise its exception
-    #: (else failures come back as ``RunReport.error`` entries).
-    raise_errors: bool = True
-    gathered: bool = False
 
 
 class SweepScheduler:
@@ -406,7 +444,7 @@ class SweepScheduler:
         self.jobs = jobs if jobs is not None else (self.context.jobs or 1)
         self.registry = registry or MetricsRegistry()
         self.progress_cb = progress_cb
-        self.policy = policy
+        self.policy = policy or SupervisionPolicy()
         self.chaos_plan: Optional[ChaosPlan] = (
             ChaosPlan(chaos) if isinstance(chaos, ChaosConfig) else chaos
         )
@@ -420,6 +458,7 @@ class SweepScheduler:
         self.deduped = reg.counter("serve.deduped")
         self.simulated = reg.counter("serve.simulated")
         self.failed = reg.counter("serve.failed")
+        self.retries = reg.counter("serve.retries")
         self.commit_retries = reg.counter("serve.commit_retries")
         self.queue_depth = reg.gauge("serve.queue_depth")
         self.shard_wall = reg.histogram(
@@ -444,271 +483,7 @@ class SweepScheduler:
             return 0.0
         return (self.store_hits.value + self.deduped.value) / total
 
-    def _commit(self, entry: _Entry, ticket: SweepTicket) -> None:
-        """Persist + stream one completed entry."""
-        report = entry.report
-        if (
-            self.store is not None
-            and entry.fingerprint is not None
-            and report is not None
-            and report.stats is not None
-            and not report.cache_hit
-        ):
-            self._guarded_put(entry)
-        if ticket.on_result is not None and report is not None:
-            ticket.on_result(entry.index, report)
-
-    def _guarded_put(self, entry: _Entry) -> None:
-        """Commit one entry via the shared :func:`guarded_commit`."""
-        guarded_commit(
-            self.store,
-            self.context,
-            entry.spec,
-            entry.fingerprint,
-            entry.report,
-            chaos=self.chaos_plan,
-            log=self._log,
-            on_retry=self.commit_retries.inc,
-            scales=entry.scales,
-        )
-
-    # -- async surface --------------------------------------------------- #
-
-    async def submit(
-        self,
-        specs: Sequence[ScenarioSpec],
-        on_result: Optional[Callable[[int, RunReport], None]] = None,
-        raise_errors: bool = True,
-    ) -> SweepTicket:
-        """Validate, dedupe, and launch a batch; returns its ticket.
-
-        Store hits are resolved (and streamed to *on_result*)
-        immediately; with ``jobs > 1`` shard workers start right away,
-        otherwise execution happens during ``gather``.  With
-        *raise_errors* (the default) the batch stops at its first
-        failed scenario and ``gather`` re-raises that scenario's own
-        exception — at any ``jobs``; otherwise every scenario runs and
-        failures come back as ``RunReport.error`` entries.
-        """
-        specs = list(specs)
-        for spec in specs:  # fail fast, before any work starts
-            validate_spec(spec)
-        entries: List[_Entry] = []
-        pending: Dict[str, _Entry] = {}
-        ticket = SweepTicket(
-            entries=entries, on_result=on_result,
-            raise_errors=raise_errors,
-        )
-        for index, spec in enumerate(specs):
-            self.submitted.inc()
-            scales = resolve_scales(spec, self.context)
-            fingerprint = spec_fingerprint(spec, self.context, scales)
-            entry = _Entry(index, spec, fingerprint, scales=scales)
-            entries.append(entry)
-            if fingerprint is not None and self.store is not None:
-                entry.report = store_report(self.store, spec, fingerprint)
-                if entry.report is not None:
-                    self.store_hits.inc()
-                    self._log(f"  store hit: {spec.label}")
-                    self._commit(entry, ticket)
-                    continue
-            if fingerprint is not None and fingerprint in pending:
-                entry.primary = pending[fingerprint]
-                self.deduped.inc()
-                continue
-            if fingerprint is not None:
-                pending[fingerprint] = entry
-            ticket.to_run.append(entry)
-        self.queue_depth.set(len(ticket.to_run))
-        if not ticket.to_run:
-            return ticket
-
-        jobs = max(1, self.jobs)
-        if jobs > 1 and len(ticket.to_run) > 1:
-            # Workers acquire their own traces: the trace store's
-            # single-flight lock has one generate each cold trace while
-            # its peers wait, so the first cell starts as soon as its
-            # own trace exists.
-            workers = min(jobs, len(ticket.to_run))
-            ticket.supervisor = ShardSupervisor(
-                self.context.worker_kwargs(),
-                jobs=workers,
-                policy=self.policy,
-                chaos=self.chaos_plan,
-                registry=self.registry,
-                shutdown=self.shutdown,
-                progress_cb=self.progress_cb,
-            )
-            self._log(
-                f"  running {len(ticket.to_run)} scenario(s) on "
-                f"{workers} supervised worker(s)..."
-            )
-            sup_tasks = [
-                ScenarioTask(
-                    index=entry.index,
-                    spec=entry.spec,
-                    label=entry.spec.label,
-                    fingerprint=entry.fingerprint,
-                    workload="+".join(entry.spec.workloads),
-                    config_label=entry.spec.config.label,
-                    scales=tuple(sorted(entry.scales.items())),
-                )
-                for entry in ticket.to_run
-            ]
-            loop = asyncio.get_running_loop()
-            by_index = {e.index: e for e in ticket.to_run}
-            remaining = [len(ticket.to_run)]
-
-            def on_outcome(outcome: ScenarioOutcome) -> None:
-                # Runs on the supervisor's thread as each scenario
-                # reaches a terminal state (commit-as-you-go).
-                entry = by_index[outcome.task.index]
-                if outcome.error is not None:
-                    entry.error = outcome.error
-                    self.failed.inc()
-                    if ticket.raise_errors:
-                        ticket.supervisor.abort(outcome.error)
-                else:
-                    entry.report = RunReport(
-                        spec=entry.spec,
-                        stats=RunStats(**outcome.stats),
-                        fingerprint=entry.fingerprint,
-                        cache_hit=False,
-                        metrics=outcome.metrics,
-                        wall_seconds=outcome.wall_seconds,
-                    )
-                    self.simulated.inc()
-                    self._commit(entry, ticket)
-                    self._log(f"  finished {entry.spec.label}")
-                remaining[0] -= 1
-                self.queue_depth.set(remaining[0])
-
-            ticket.task = loop.run_in_executor(
-                None, ticket.supervisor.run, sup_tasks, on_outcome
-            )
-        return ticket
-
-    async def gather(self, ticket: SweepTicket) -> List[RunReport]:
-        """Drive a ticket to completion; reports in submission order.
-
-        A ticket submitted with ``raise_errors`` re-raises the first
-        failed scenario's original exception; every scenario completed
-        before it has been committed, so a rerun resumes from the
-        store.  Otherwise failures surface as ``RunReport.error``
-        entries.
-        """
-        if ticket.gathered:
-            raise RuntimeError("ticket was already gathered")
-        ticket.gathered = True
-        if ticket.task is not None:
-            await self._gather_supervised(ticket)
-        else:
-            self._run_serial(ticket)
-        self.queue_depth.set(0)
-        # Resolve dedupe references and assemble in submission order.
-        reports: List[RunReport] = []
-        first_error: Optional[BaseException] = None
-        for entry in ticket.entries:
-            if entry.primary is not None:
-                primary = entry.primary
-                if primary.report is not None:
-                    entry.report = dataclasses.replace(
-                        primary.report, spec=entry.spec, cache_hit=True
-                    )
-                else:
-                    entry.error = primary.error
-                self._commit(entry, ticket)
-            if entry.report is None:
-                error = entry.error or RuntimeError(
-                    "scenario was never executed"
-                )
-                if first_error is None:
-                    first_error = error
-                entry.report = RunReport(
-                    spec=entry.spec,
-                    stats=None,
-                    fingerprint=entry.fingerprint,
-                    error=error,
-                )
-            reports.append(entry.report)
-        if ticket.raise_errors and first_error is not None:
-            raise first_error
-        return reports
-
-    def _run_serial(self, ticket: SweepTicket) -> None:
-        """In-process execution, submission order, commit-per-scenario."""
-        remaining = len(ticket.to_run)
-        for entry in ticket.to_run:
-            spec = entry.spec
-            self._log(f"  running {spec.label}...")
-            start = time.perf_counter()
-            try:
-                result = execute_spec(self.context, spec, entry.scales)
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                self.failed.inc()
-                entry.error = exc
-                if ticket.raise_errors:
-                    self.queue_depth.set(0)
-                    raise
-                remaining -= 1
-                self.queue_depth.set(remaining)
-                continue
-            entry.report = RunReport(
-                spec=spec,
-                stats=result.stats,
-                fingerprint=entry.fingerprint,
-                cache_hit=False,
-                metrics=result.metrics,
-                wall_seconds=time.perf_counter() - start,
-            )
-            self.simulated.inc()
-            remaining -= 1
-            self.queue_depth.set(remaining)
-            self._commit(entry, ticket)
-
-    async def _gather_supervised(self, ticket: SweepTicket) -> None:
-        """Await the supervision loop; outcomes were already committed
-        as they arrived (via the submit-time ``on_outcome`` callback).
-
-        A ticket that raises its errors re-raises the abort error: the
-        first failed scenario's exception.  Otherwise a failure of the
-        pool itself, like a graceful interrupt, surfaces on every
-        scenario the supervisor never finished.
-        """
-        start = time.perf_counter()
-        aborted: Optional[BaseException] = None
-        try:
-            ticket.supervision = await ticket.task
-        except Exception as exc:  # noqa: BLE001 - abort/loop failure
-            aborted = exc
-            ticket.supervision = ticket.supervisor.report
-        finally:
-            self.last_supervision = ticket.supervisor.report
-            self.shard_wall.observe(time.perf_counter() - start)
-        report = ticket.supervisor.report
-        if aborted is not None or report.interrupted:
-            # Scenarios the supervisor never finished carry the sweep-
-            # level cause; the assembly in gather() raises or reports
-            # it per the ticket's raise_errors choice.
-            unfinished = [
-                e for e in ticket.to_run
-                if e.report is None and e.error is None
-            ]
-            finished = len(ticket.to_run) - len(unfinished)
-            for entry in unfinished:
-                entry.error = (
-                    aborted
-                    if aborted is not None
-                    else SweepInterrupted(finished, len(unfinished))
-                )
-                self.failed.inc()
-        if not report.clean:
-            self._log(report.render())
-        if aborted is not None and ticket.raise_errors:
-            self.queue_depth.set(0)
-            raise aborted
-
-    # -- sync wrapper ----------------------------------------------------- #
+    # -- the sweep -------------------------------------------------------- #
 
     def sweep(
         self,
@@ -716,12 +491,206 @@ class SweepScheduler:
         on_result: Optional[Callable[[int, RunReport], None]] = None,
         raise_errors: bool = True,
     ) -> List[RunReport]:
-        """Submit + gather one batch synchronously."""
+        """Run one batch to completion; reports in submission order.
 
-        async def _run() -> List[RunReport]:
-            ticket = await self.submit(
-                specs, on_result=on_result, raise_errors=raise_errors
+        Plan, run, assemble (module docstring).  *on_result* receives
+        ``(submission_index, RunReport)`` for every successful scenario
+        as it is served or committed.  With *raise_errors* (the
+        default) the sweep stops at its first failed scenario and
+        raises that scenario's own exception, at any ``jobs``; every
+        scenario committed before it stays committed, so a rerun
+        resumes from the store.  Otherwise every scenario runs and
+        failures come back as ``RunReport.error`` entries.  Scenarios a
+        drain kept from starting fail with
+        :class:`~repro.errors.SweepInterrupted`.
+        """
+        entries, to_run = self._plan(specs, on_result)
+
+        def settle(outcome: ScenarioOutcome) -> None:
+            self._settle(
+                entries[outcome.task.index], outcome, on_result,
+                raise_errors,
             )
-            return await self.gather(ticket)
 
-        return asyncio.run(_run())
+        pooled = self.jobs > 1 and len(to_run) > 1
+        run = self._run_pool if pooled else self._run_serial
+        try:
+            run([entry.task for entry in to_run], settle)
+            unfinished = [entry for entry in to_run if entry.report is None]
+            for entry in unfinished:
+                settle(ScenarioOutcome(
+                    task=entry.task,
+                    error=SweepInterrupted(
+                        len(to_run) - len(unfinished), len(unfinished)
+                    ),
+                ))
+        finally:
+            self.queue_depth.set(0)
+        return self._assemble(entries, on_result)
+
+    def _plan(
+        self,
+        specs: Sequence[ScenarioSpec],
+        on_result: Optional[Callable[[int, RunReport], None]],
+    ) -> Tuple[List[_Entry], List[_Entry]]:
+        """Validate, fingerprint, serve store hits and dedupe; returns
+        every entry and the ones that need simulation, in order."""
+        specs = list(specs)
+        for spec in specs:  # fail fast, before any work starts
+            validate_spec(spec)
+        entries: List[_Entry] = []
+        to_run: List[_Entry] = []
+        pending: Dict[str, _Entry] = {}
+        for index, spec in enumerate(specs):
+            self.submitted.inc()
+            scales = resolve_scales(spec, self.context)
+            fingerprint = spec_fingerprint(spec, self.context, scales)
+            entry = _Entry(scenario_task(index, spec, fingerprint, scales))
+            entries.append(entry)
+            if fingerprint is not None and self.store is not None:
+                entry.report = store_report(self.store, spec, fingerprint)
+                if entry.report is not None:
+                    self.store_hits.inc()
+                    self._log(f"  store hit: {spec.label}")
+                    if on_result is not None:
+                        on_result(index, entry.report)
+                    continue
+            if fingerprint is not None and fingerprint in pending:
+                entry.primary = pending[fingerprint]
+                self.deduped.inc()
+                continue
+            if fingerprint is not None:
+                pending[fingerprint] = entry
+            to_run.append(entry)
+        self.queue_depth.set(len(to_run))
+        return entries, to_run
+
+    def _run_serial(
+        self,
+        tasks: List[ScenarioTask],
+        settle: Callable[[ScenarioOutcome], None],
+    ) -> None:
+        """In-process execution in submission order, until a drain."""
+        rng = self.policy.backoff_rng()
+        for task in tasks:
+            outcome = self._run_in_process(task, rng)
+            if outcome is None:
+                return
+            settle(outcome)
+
+    def _run_in_process(
+        self, task: ScenarioTask, rng: random.Random
+    ) -> Optional[ScenarioOutcome]:
+        """One scenario's attempts on this process, each failure retried
+        or made terminal by :func:`retry_delay`, as on the pool; None
+        when a drain stops it before an attempt starts."""
+        attempts = 0
+        while not (self.shutdown is not None and self.shutdown.drain_requested):
+            attempts += 1
+            self._log(f"  running {task.label}...")
+            start = time.perf_counter()
+            try:
+                result = execute_spec(
+                    self.context, task.spec, dict(task.scales)
+                )
+            except Exception as exc:  # noqa: BLE001 - isolation boundary
+                delay = retry_delay(self.policy, task, exc, attempts, rng)
+                if delay is None:
+                    return ScenarioOutcome(
+                        task=task, error=exc, attempts=attempts
+                    )
+                self.retries.inc()
+                self._log(
+                    f"  retrying {task.label} (attempt {attempts + 1}, "
+                    f"backoff {delay:.2f}s): {type(exc).__name__}"
+                )
+                time.sleep(delay)
+                continue
+            return ScenarioOutcome(
+                task=task,
+                stats=dataclasses.asdict(result.stats),
+                metrics=result.metrics,
+                attempts=attempts,
+                wall_seconds=time.perf_counter() - start,
+            )
+        return None
+
+    def _run_pool(
+        self,
+        tasks: List[ScenarioTask],
+        settle: Callable[[ScenarioOutcome], None],
+    ) -> None:
+        """The supervised pool, driven on the calling thread; *settle*
+        runs as each scenario reaches a terminal state."""
+        # Workers acquire their own traces: the trace store's
+        # single-flight lock has one generate each cold trace while its
+        # peers wait, so the first cell starts as soon as its own trace
+        # exists.
+        workers = min(self.jobs, len(tasks))
+        supervisor = ShardSupervisor(
+            self.context.worker_kwargs(),
+            jobs=workers,
+            policy=self.policy,
+            chaos=self.chaos_plan,
+            registry=self.registry,
+            shutdown=self.shutdown,
+            progress_cb=self.progress_cb,
+        )
+        self._log(
+            f"  running {len(tasks)} scenario(s) on "
+            f"{workers} supervised worker(s)..."
+        )
+        start = time.perf_counter()
+        try:
+            supervisor.run(tasks, settle)
+        finally:
+            self.last_supervision = supervisor.report
+            self.shard_wall.observe(time.perf_counter() - start)
+            if not supervisor.report.clean:
+                self._log(supervisor.report.render())
+
+    def _settle(
+        self,
+        entry: _Entry,
+        outcome: ScenarioOutcome,
+        on_result: Optional[Callable[[int, RunReport], None]],
+        raise_errors: bool,
+    ) -> None:
+        """The one step for each terminal outcome, serial or pooled:
+        commit it (:func:`settle_outcome`), count it, stream a success
+        to *on_result*, and raise a failure under *raise_errors*."""
+        entry.report = report = settle_outcome(
+            outcome, self.store, self.context,
+            chaos=self.chaos_plan, log=self._log,
+            on_retry=self.commit_retries.inc,
+        )
+        self.queue_depth.set(self.queue_depth.value - 1)
+        if not report.ok:
+            self.failed.inc()
+            if raise_errors:
+                raise report.error
+            return
+        self.simulated.inc()
+        self._log(f"  finished {entry.task.label}")
+        if on_result is not None:
+            on_result(entry.task.index, report)
+
+    def _assemble(
+        self,
+        entries: List[_Entry],
+        on_result: Optional[Callable[[int, RunReport], None]],
+    ) -> List[RunReport]:
+        """Reports in submission order; a deduplicated entry copies its
+        primary's outcome (a success as a cache hit)."""
+        reports: List[RunReport] = []
+        for entry in entries:
+            primary = entry.primary
+            if primary is not None:
+                entry.report = dataclasses.replace(
+                    primary.report, spec=entry.task.spec,
+                    cache_hit=primary.report.ok,
+                )
+                if entry.report.ok and on_result is not None:
+                    on_result(entry.task.index, entry.report)
+            reports.append(entry.report)
+        return reports

@@ -22,16 +22,19 @@ depends on:
   :class:`PoisonRecord` in the sweep's :class:`SupervisionReport` and
   handed to the caller as its original exception; nothing is written
   to disk, so a sweep's store holds the same entries at any ``--jobs``;
-* **abort** — :meth:`ShardSupervisor.abort` stops the sweep and makes
-  it raise a given error.  A caller that raises its errors aborts on
-  the first terminal failure (completed work is already committed, so
-  a rerun resumes from the store); a caller that reports its failures
-  gets every scenario's own outcome;
+* **abort** — an exception raised by the caller's ``on_outcome``
+  callback stops the sweep: busy workers are killed, the rest of the
+  batch is dropped, and :meth:`ShardSupervisor.run` re-raises it.  A
+  sweep that raises its errors stops this way at its first terminal
+  failure (completed work is already committed, so a rerun resumes
+  from the store); a sweep that reports its failures gets every
+  scenario's own outcome;
 * **graceful shutdown** — SIGINT/SIGTERM (via :class:`ShutdownGuard`)
   drains in-flight scenarios to the store and stops dispatching; a
   second signal hard-aborts.
 
-The supervisor state machine per scenario::
+The supervisor state machine per scenario (the scheduler's in-process
+loop follows it too, through the same :func:`retry_delay`)::
 
     running ──ok──────────────────────────────────▶ committed
        │ retryable failure, attempts < max_attempts
@@ -81,6 +84,7 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
     "TaskIntake",
+    "retry_delay",
 ]
 
 
@@ -161,6 +165,11 @@ class SupervisionPolicy:
         if self.watchdog_tick_seconds <= 0:
             raise ValueError("watchdog_tick_seconds must be positive")
 
+    def backoff_rng(self) -> random.Random:
+        """A fresh backoff PRNG, seeded ``f"{seed}:backoff"`` so reruns
+        back off identically."""
+        return random.Random(f"{self.seed}:backoff")
+
     def backoff_delay(self, attempt: int, rng: random.Random) -> float:
         """Capped exponential backoff with seeded jitter; *attempt* is
         the 1-based count of failures so far."""
@@ -173,6 +182,28 @@ class SupervisionPolicy:
                 -self.backoff_jitter, self.backoff_jitter
             )
         return max(0.0, delay)
+
+
+def retry_delay(
+    policy: SupervisionPolicy,
+    task: "ScenarioTask",
+    error: BaseException,
+    attempts: int,
+    rng: random.Random,
+) -> Optional[float]:
+    """The one retry rule, for pooled and in-process scenarios alike.
+
+    The backoff before retrying *task* after its *attempts*-th failure
+    *error*, or None when that failure is terminal: *error* is not
+    :func:`~repro.errors.is_retryable`, or the spec's (else the
+    policy's) ``max_attempts`` are used up.
+    """
+    max_attempts = getattr(task.spec, "max_attempts", None)
+    if max_attempts is None:
+        max_attempts = policy.max_attempts
+    if not is_retryable(error) or attempts >= max_attempts:
+        return None
+    return policy.backoff_delay(attempts, rng)
 
 
 @dataclass(frozen=True)
@@ -244,7 +275,6 @@ class SupervisionReport:
     deadline_kills: int = 0
     worker_crashes: int = 0
     worker_respawns: int = 0
-    commit_retries: int = 0
     chaos_injections: int = 0
     poison: List[PoisonRecord] = field(default_factory=list)
     #: Seconds past the deadline each hung worker survived before the
@@ -288,11 +318,13 @@ class SupervisionReport:
 class ShutdownGuard:
     """Two-stage SIGINT/SIGTERM handling for a running sweep.
 
-    First signal: request a *drain* — the supervisor stops dispatching,
-    lets in-flight scenarios finish and commit, and the CLI exits with
-    :data:`EXIT_INTERRUPTED`.  Second signal: request a hard *abort* —
-    busy workers are killed and the sweep stops immediately.  A third
-    signal falls through to a plain KeyboardInterrupt.
+    First signal: request a *drain* — the sweep starts no further
+    scenario (the supervisor stops dispatching, the serial loop stops
+    before its next one), lets in-flight scenarios finish and commit,
+    and the CLI exits with :data:`EXIT_INTERRUPTED`.  Second signal:
+    request a hard *abort* — busy workers are killed and the sweep
+    stops immediately.  A third signal falls through to a plain
+    KeyboardInterrupt.
 
     Usable as a context manager; installing handlers outside the main
     thread is a silent no-op (the guard still works when driven
@@ -513,12 +545,12 @@ class ShardSupervisor:
 
     ``run()`` drives every :class:`ScenarioTask` to a terminal state —
     committed, poisoned, or dropped by drain/abort — invoking
-    *on_outcome* (from the supervisor's thread) as each scenario
-    finishes, and returns the :class:`SupervisionReport`.  A failed
-    outcome carries the scenario's own exception.  After
-    :meth:`abort` (called from *on_outcome*) ``run()`` drops the
-    remaining work and raises the abort error instead.  Obs instruments land in *registry* under the
-    scheduler's ``serve.*`` namespace.
+    *on_outcome* on the calling thread as each scenario finishes, and
+    returns the :class:`SupervisionReport`.  A failed
+    outcome carries the scenario's own exception.  An exception raised
+    by *on_outcome* kills the busy workers, drops the remaining work
+    and leaves ``run()``.  Obs instruments land in *registry* under
+    the scheduler's ``serve.*`` namespace.
     """
 
     def __init__(
@@ -541,7 +573,7 @@ class ShardSupervisor:
         self.progress_cb = progress_cb
         self._mp = multiprocessing.get_context()
         self._tokens = itertools.count()
-        self._rng = random.Random(f"{self.policy.seed}:backoff")
+        self._rng = self.policy.backoff_rng()
         reg = registry or MetricsRegistry()
         self.c_retries = reg.counter("serve.retries")
         self.c_deadline_kills = reg.counter("serve.deadline_kills")
@@ -556,7 +588,6 @@ class ShardSupervisor:
             "serve.deadline_fraction", DEADLINE_FRACTION_EDGES
         )
         self.report = SupervisionReport()
-        self._abort_error: Optional[BaseException] = None
         # Retry heap; an instance attribute so the failure path can
         # requeue from any depth of the loop.
         self._delayed: List[Tuple[float, int, _JobState]] = []
@@ -567,27 +598,6 @@ class ShardSupervisor:
     def _log(self, message: str) -> None:
         if self.progress_cb is not None:
             self.progress_cb(message)
-
-    def abort(self, error: BaseException) -> None:
-        """Stop the sweep and make :meth:`run` raise *error*.
-
-        No outcome is delivered after the call: in-flight workers are
-        killed and undispatched scenarios are dropped, all counted in
-        ``report.pending``.  The first abort wins."""
-        if self._abort_error is None:
-            self._abort_error = error
-
-    def _effective(self, task: ScenarioTask) -> Tuple[Optional[float], int]:
-        """(deadline, max_attempts) for one task: spec override else
-        policy default."""
-        spec = task.spec
-        deadline = getattr(spec, "deadline_seconds", None)
-        if deadline is None:
-            deadline = self.policy.deadline_seconds
-        attempts = getattr(spec, "max_attempts", None)
-        if attempts is None:
-            attempts = self.policy.max_attempts
-        return deadline, attempts
 
     # -- the supervision loop ------------------------------------------ #
 
@@ -633,18 +643,6 @@ class ShardSupervisor:
         tick = self.policy.watchdog_tick_seconds
         try:
             while True:
-                if self._abort_error is not None:
-                    self.report.pending += (
-                        len(ready) + len(self._delayed) + in_flight
-                    )
-                    ready.clear()
-                    self._delayed.clear()
-                    for worker in workers:
-                        if worker.busy is not None:
-                            worker.busy = None
-                            worker.kill()
-                    in_flight = 0
-                    break
                 now = time.monotonic()
                 while self._delayed and self._delayed[0][0] <= now:
                     ready.append(heapq.heappop(self._delayed)[2])
@@ -680,8 +678,6 @@ class ShardSupervisor:
                         break
                 else:
                     for worker in workers:
-                        if self._abort_error is not None:
-                            break
                         if worker.busy is not None:
                             continue
                         job: Optional[_JobState] = None
@@ -710,8 +706,6 @@ class ShardSupervisor:
                         intake.wait(tick)
                     continue
                 for conn in _conn_wait(conns, tick):
-                    if self._abort_error is not None:
-                        break
                     worker = next(
                         (w for w in workers if w.result_r is conn), None
                     )
@@ -720,8 +714,6 @@ class ShardSupervisor:
                     in_flight -= self._reap(worker, workers, on_outcome)
                 now = time.monotonic()
                 for slot, worker in enumerate(workers):
-                    if self._abort_error is not None:
-                        break
                     dispatch = worker.busy
                     if dispatch is None or dispatch.kill_at is None:
                         continue
@@ -742,8 +734,6 @@ class ShardSupervisor:
                     worker.retire()
         if self.chaos is not None:
             self.report.chaos_injections = self.chaos.total_injected
-        if self._abort_error is not None:
-            raise self._abort_error
         return self.report
 
     # -- dispatch / completion ----------------------------------------- #
@@ -764,7 +754,9 @@ class ShardSupervisor:
             if directive.active:
                 self.c_chaos_injections.inc()
         token = next(self._tokens)
-        deadline, _ = self._effective(job.task)
+        deadline = getattr(job.task.spec, "deadline_seconds", None)
+        if deadline is None:
+            deadline = self.policy.deadline_seconds
         started = time.monotonic()
         try:
             worker.task_w.send(
@@ -900,17 +892,17 @@ class ShardSupervisor:
         error: BaseException,
         on_outcome: Callable[[ScenarioOutcome], None],
     ) -> None:
-        """Classify one attempt's failure: retry a retryable one with
-        backoff while attempts remain, else report the scenario as
-        poison and hand *error* itself to *on_outcome*.  ``job.attempts`` was
+        """Settle one attempt's failure by :func:`retry_delay`: requeue
+        it after its backoff, else report the scenario as poison and
+        hand *error* itself to *on_outcome*.  ``job.attempts`` was
         already advanced by the caller."""
-        retryable = is_retryable(error)
         job.errors.append(f"{type(error).__name__}: {error}")
-        _, max_attempts = self._effective(job.task)
-        if retryable and job.attempts < max_attempts:
+        delay = retry_delay(
+            self.policy, job.task, error, job.attempts, self._rng
+        )
+        if delay is not None:
             self.c_retries.inc()
             self.report.retries += 1
-            delay = self.policy.backoff_delay(job.attempts, self._rng)
             self._log(
                 f"  retrying {job.task.label} (attempt "
                 f"{job.attempts + 1}, backoff {delay:.2f}s): "
@@ -922,7 +914,7 @@ class ShardSupervisor:
             )
             return
         classification = (
-            "retries_exhausted" if retryable else "deterministic"
+            "retries_exhausted" if is_retryable(error) else "deterministic"
         )
         record = PoisonRecord(
             index=job.task.index,

@@ -9,21 +9,26 @@ matter how many clients ask, commits that survive a client disconnect,
 honest /healthz //queue //metrics, and a clean drain.
 """
 
+import dataclasses
+import errno
 import http.client
 import json
+import os
 import socket
 import threading
 import time
 
 import pytest
 
+import repro.serve.scheduler as scheduler_mod
+import repro.serve.store as store_mod
 from repro.api import ScenarioSpec, Session
 from repro.errors import DaemonUnavailable, ReferenceBudgetExceeded
 from repro.serve import SweepClient
 from repro.serve.daemon import ScenarioDaemon
 from repro.serve.scheduler import spec_fingerprint
 from repro.serve.store import STORE_SCHEMA
-from repro.serve.supervise import SupervisionPolicy
+from repro.serve.supervise import ShutdownGuard, SupervisionPolicy
 from repro.sim.config import paper_mtlb, paper_no_mtlb
 
 TINY = {"em3d": 0.02, "radix": 0.02}
@@ -34,6 +39,10 @@ FAST = SupervisionPolicy(
     backoff_base_seconds=0.05,
     backoff_cap_seconds=0.2,
 )
+
+
+#: FAST without retry backoff, for sweeps that retry on purpose.
+NO_BACKOFF = dataclasses.replace(FAST, backoff_base_seconds=0.0)
 
 
 def _session(tmp, name):
@@ -151,6 +160,30 @@ class TestTypedErrors:
         with pytest.raises(ReferenceBudgetExceeded):
             client.run(spec)
 
+    def test_disk_error_at_commit_surfaces_as_oserror(
+        self, served, tmp_path, monkeypatch
+    ):
+        """A daemon commit that keeps failing ``ENOSPC`` reaches the
+        client as the ``OSError`` a local sweep raises, errno intact."""
+        _, url = served
+        _disk_full(monkeypatch)
+        client = _client(tmp_path, "enospc_store", url, "enospc")
+        spec = ScenarioSpec("radix", paper_mtlb(96), seed=4545)
+        with pytest.raises(OSError) as caught:
+            client.sweep([spec], raise_errors=True)
+        assert caught.value.errno == errno.ENOSPC
+
+
+def _disk_full(monkeypatch):
+    """Every result-record write fails ``ENOSPC``, with no commit
+    backoff between the attempts."""
+
+    def full(path, blob):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(store_mod, "atomic_write_bytes", full)
+    monkeypatch.setattr(scheduler_mod, "COMMIT_BACKOFF_SECONDS", 0.0)
+
 
 def _outcomes(reports):
     return [
@@ -169,15 +202,69 @@ def _only_records(store):
             assert doc["schema"] == STORE_SCHEMA, path
 
 
+#: The scheduler counters every path must agree on.
+PARITY_COUNTERS = ("serve.submitted", "serve.simulated", "serve.failed")
+
+
 class TestOutcomeParity:
+    """How a sweep runs never changes what it reports: each case gives
+    the same ``(ok, error type)`` per scenario, the same store keys and
+    the same counters at ``jobs=1`` and ``jobs=2`` (and, where the
+    daemon's workers can see the case, through the daemon)."""
+
+    @staticmethod
+    def _runs(served, tmp_path, name, specs, daemon=False, shutdown=None,
+              before=None):
+        """One keep-going sweep of *specs* per path: ``{path: (client,
+        reports, store keys)}``.  *before(jobs)* arms the case."""
+        runs = {}
+        for jobs in (1, 2):
+            if before is not None:
+                before(jobs)
+            client = SweepClient(
+                session=_session(tmp_path, f"{name}_jobs{jobs}"),
+                jobs=jobs, policy=NO_BACKOFF, shutdown=shutdown,
+            )
+            reports = client.sweep(specs, raise_errors=False)
+            runs[f"jobs={jobs}"] = (client, reports, set(client.store.keys()))
+        if daemon:
+            server, url = served
+            remote = _client(tmp_path, f"{name}_remote", url, name)
+            reports = remote.sweep(specs, raise_errors=False)
+            fps = {spec_fingerprint(spec, server.context) for spec in specs}
+            runs["daemon"] = (
+                remote, reports, {fp for fp in fps if fp in server.store}
+            )
+        return runs
+
+    @staticmethod
+    def _assert_parity(runs, expected):
+        def counters(client):
+            return {
+                name: client.registry.value(name) for name in PARITY_COUNTERS
+            }
+
+        serial, _, serial_keys = runs["jobs=1"]
+        for path, (client, reports, keys) in runs.items():
+            assert _outcomes(reports) == expected, path
+            assert keys == serial_keys, path
+            assert counters(client) == counters(serial), path
+
+    @staticmethod
+    def _specs(seed):
+        return [
+            ScenarioSpec("em3d", paper_no_mtlb(96), seed=seed),
+            ScenarioSpec("em3d", paper_mtlb(96), seed=seed),
+            ScenarioSpec("radix", paper_mtlb(96), seed=seed),
+        ]
+
     def test_keep_going_outcomes_match_across_paths(
         self, served, tmp_path
     ):
         """A keep-going batch that mostly fails reports every
         scenario's own outcome, and commits the same records and
-        nothing else, at ``jobs=1``, at ``jobs=2`` and through the
-        daemon: how a sweep runs never changes what it reports."""
-        daemon, url = served
+        nothing else, on every path."""
+        daemon, _ = served
         failing = [
             ScenarioSpec(w, config, seed=seed, max_references=10)
             for seed in (53, 54)
@@ -194,33 +281,73 @@ class TestOutcomeParity:
             else (False, "ReferenceBudgetExceeded")
             for spec in specs
         ]
-        runs = {}
-        stores = {}
-        for jobs in (1, 2):
-            client = SweepClient(
-                session=_session(tmp_path, f"jobs{jobs}_store"),
-                jobs=jobs, policy=FAST,
-            )
-            runs[f"jobs={jobs}"] = client.sweep(specs, raise_errors=False)
-            stores[f"jobs={jobs}"] = client.store
-        remote = _client(tmp_path, "remote_store", url, "parity")
-        runs["daemon"] = remote.sweep(specs, raise_errors=False)
-        stores["daemon"] = daemon.store
-        for path, reports in runs.items():
-            assert _outcomes(reports) == expected, path
+        runs = self._runs(served, tmp_path, "budget", specs, daemon=True)
+        self._assert_parity(runs, expected)
 
-        committed = [r.fingerprint for r in runs["jobs=1"] if r.ok]
-        failed = [r.fingerprint for r in runs["jobs=1"] if not r.ok]
+        _, serial, committed = runs["jobs=1"]
+        assert committed == {r.fingerprint for r in serial if r.ok}
         assert len(committed) == len(passing)
-        assert set(stores["jobs=1"].keys()) == set(committed)
-        assert set(stores["jobs=2"].keys()) == set(committed)
         for fp in committed:
-            blob = stores["jobs=1"].record_path(fp).read_bytes()
-            assert stores["jobs=2"].record_path(fp).read_bytes() == blob
+            blob = runs["jobs=1"][0].store.record_path(fp).read_bytes()
+            assert runs["jobs=2"][0].store.record_path(fp).read_bytes() == (
+                blob
+            )
             assert daemon.store.record_path(fp).read_bytes() == blob
-        assert not any(fp in daemon.store for fp in failed)
-        for store in stores.values():
-            _only_records(store)
+        for path in ("jobs=1", "jobs=2"):
+            _only_records(runs[path][0].store)
+        _only_records(daemon.store)
+
+    def test_first_attempt_oserror_is_retried(
+        self, served, tmp_path, monkeypatch
+    ):
+        """An ``OSError`` is retryable on both paths: each scenario's
+        failed first attempt is retried once, and all commit."""
+        execute = scheduler_mod.execute_spec
+
+        def arm(jobs):
+            marks = tmp_path / f"marks{jobs}"
+            marks.mkdir()
+
+            def flaky(context, spec, scales=None):
+                mark = marks / f"{spec.label}-{spec.seed}".replace("|", "_")
+                if not mark.exists():
+                    mark.touch()
+                    raise OSError(errno.EIO, "injected first-attempt error")
+                return execute(context, spec, scales)
+
+            # Pool workers fork after this, so they run it too.
+            monkeypatch.setattr(scheduler_mod, "execute_spec", flaky)
+
+        specs = self._specs(seed=55)
+        runs = self._runs(served, tmp_path, "oserror", specs, before=arm)
+        self._assert_parity(runs, [(True, None)] * len(specs))
+        assert len(runs["jobs=1"][2]) == len(specs)
+        for client, _, _ in runs.values():
+            assert client.registry.value("serve.retries") == len(specs)
+
+    def test_commit_that_keeps_failing_is_the_scenarios_error(
+        self, served, tmp_path, monkeypatch
+    ):
+        """A keep-going sweep whose record writes keep failing
+        ``ENOSPC`` reports each scenario's ``OSError`` and carries on;
+        nothing is committed and nothing is reported ok."""
+        _disk_full(monkeypatch)
+        specs = self._specs(seed=56)
+        runs = self._runs(served, tmp_path, "enospc", specs, daemon=True)
+        self._assert_parity(runs, [(False, "OSError")] * len(specs))
+        assert runs["jobs=1"][2] == set()
+        for _, reports, _ in runs.values():
+            assert all(r.error.errno == errno.ENOSPC for r in reports)
+
+    def test_drain_before_the_sweep_starts_nothing(self, served, tmp_path):
+        """A drain requested before the sweep keeps every scenario from
+        starting, on both paths: each reports ``SweepInterrupted``."""
+        guard = ShutdownGuard()
+        guard.request_drain()
+        specs = self._specs(seed=57)
+        runs = self._runs(served, tmp_path, "drain", specs, shutdown=guard)
+        self._assert_parity(runs, [(False, "SweepInterrupted")] * len(specs))
+        assert runs["jobs=1"][2] == set()
 
 
 class TestDedupe:

@@ -118,14 +118,30 @@ class TestOneEntryPoint:
         with pytest.raises(DaemonUnavailable):
             client.run(ScenarioSpec("em3d", paper_mtlb(96)))
 
-    def test_run_inside_a_running_event_loop(self, session):
-        spec = ScenarioSpec("em3d", paper_mtlb(96))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_entry_points_inside_a_running_event_loop(self, session, jobs):
+        """Every entry point is one synchronous sweep, so a caller that
+        is already inside an event loop (a notebook) can use each of
+        them, serial or pooled."""
+
+        def specs(seed):
+            return [
+                ScenarioSpec("em3d", config, seed=seed)
+                for config in (paper_no_mtlb(96), paper_mtlb(96))
+            ]
+
+        client = SweepClient(session=session, jobs=jobs)
 
         async def in_loop():
-            return session.run(spec)
+            return (
+                [session.run(specs(61)[0])],
+                session.sweep(specs(62), jobs=jobs),
+                client.sweep(specs(63)),
+            )
 
-        report = asyncio.run(in_loop())
-        assert report.ok and report.stats.references > 0
+        for reports in asyncio.run(in_loop()):
+            assert all(r.ok and not r.cache_hit for r in reports)
+            assert all(r.stats.references > 0 for r in reports)
 
 
 class TestSchedulerDedupe:
@@ -391,39 +407,6 @@ class TestResumeAsCacheHit:
                 again.get("em3d", label).total_cycles
                 == full.get("em3d", label).total_cycles
             )
-
-
-class TestSweepClient:
-    def test_submit_gather_async_surface(self, session):
-        import asyncio
-
-        client = SweepClient(session=session)
-        specs = [ScenarioSpec("em3d", paper_mtlb(96))]
-
-        async def go():
-            ticket = await client.submit(specs)
-            return await client.gather(ticket)
-
-        reports = asyncio.run(go())
-        assert reports[0].ok
-        status = client.status()
-        assert status["entries"] == 1
-        assert status["simulated"] == 1
-
-    def test_ticket_single_use(self, session):
-        import asyncio
-
-        client = SweepClient(session=session)
-
-        async def go():
-            ticket = await client.submit(
-                [ScenarioSpec("em3d", paper_mtlb(96))]
-            )
-            await client.gather(ticket)
-            with pytest.raises(RuntimeError, match="already gathered"):
-                await client.gather(ticket)
-
-        asyncio.run(go())
 
 
 class TestServeCli:
